@@ -50,13 +50,9 @@ from .series import (
     BIVAR,
     INTS,
     POLYS,
-    CoefficientRing,
     TruncatedSeries,
     pfib_series,
     rational_gf,
-    series_add,
-    series_inverse,
-    series_mul,
     verify_cube_count_gf,
     verify_weight_gf_expansion,
 )

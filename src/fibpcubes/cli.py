@@ -36,7 +36,7 @@ from .polynomials import cube_poly_closed, dist_cube_poly_closed, weight_poly
 from .sequences import pfib
 from .series import DEFAULT_ORDER
 from .strings import count_by_weight, max_weight
-from .verify import run_suite
+from .verify import CHOICES, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -123,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run closed-form vs oracle suites")
-    verify.add_argument(
-        "suite", choices=("cubes", "gf", "indices", "irregularity", "all")
-    )
+    verify.add_argument("suite", choices=CHOICES)
     verify.add_argument("--p", type=_span, default=(1, 3), metavar="P[..P2]")
     verify.add_argument(
         "--n", "--n-range", dest="n", type=_span, default=(0, 8), metavar="N[..N2]"
@@ -333,6 +331,13 @@ def main(argv: "list[str] | None" = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Answers can exceed the interpreter's int/str digit limit, where it has
+    # one.  Lift it only after parsing, so that over-long numbers on the
+    # command line are still refused, and restore it for in-process callers.
+    lift_digits = hasattr(sys, "set_int_max_str_digits")
+    if lift_digits:
+        saved_digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         cfg = _config_from(args)
         if args.command == "count":
@@ -350,6 +355,9 @@ def main(argv: "list[str] | None" = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift_digits:
+            sys.set_int_max_str_digits(saved_digits)
 
 
 def entry() -> None:

@@ -52,9 +52,6 @@ class PCubeGraph:
             raise ValueError(f"{u!r} is not a vertex of this graph")
         return vid
 
-    def contains_bits(self, bits: int) -> bool:
-        return bits in self.index
-
 
 def build(p: int, n: int, cap: int = DEFAULT_GRAPH_CAP) -> PCubeGraph:
     """Materialize the graph for (p, n); refuses n beyond cap."""

@@ -133,18 +133,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, tuple(inv))
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    return a.inverse()
-
-
 def pfib_series(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The series whose t^n coefficient is F^p_n."""
     return TruncatedSeries.from_coeffs(

@@ -1,15 +1,17 @@
-"""Closed-form versus oracle check suites, shared by the CLI and scripts.
+"""Closed-form versus oracle check suites, shared by the CLI and the tests.
 
 Each suite walks a (p, n) grid, recomputes every identity from both sides,
 and reports one result per identity and parameter p with the first
-counterexample when something disagrees.
+counterexample when something disagrees.  A suite is one row of ``SUITES``:
+its check names in report order, and a function that fills the mismatches
+of every check for one (p, n) from a single graph build.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cubes import cube_census
 from .graph import (
@@ -57,10 +59,14 @@ from .series import (
 )
 from .strings import count_by_weight, max_weight
 
-SUITES = ("cubes", "gf", "indices", "irregularity", "all")
-
 # All-pairs BFS checks are quadratic in |V|; skip beyond this many vertices.
 ALL_PAIRS_LIMIT = 4096
+
+_XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
+_XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+# Check name -> mismatch descriptions, filled for one p across its n grid.
+Mismatches = dict[str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -76,67 +82,39 @@ def _result(name: str, mismatches: list[str], note: str = "") -> CheckResult:
     return CheckResult(name, True, note)
 
 
-def _graphs(p: int, ns: Iterable[int], cap: int) -> list[tuple[int, PCubeGraph]]:
-    return [(n, build(p, n, cap=cap)) for n in ns]
-
-
-def suite_counts(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
-    """Order, size, direction counts, weight census, and structure checks."""
-    results: list[CheckResult] = []
-    for p in ps:
-        bad_order: list[str] = []
-        bad_size: list[str] = []
-        bad_dir: list[str] = []
-        bad_weight: list[str] = []
-        bad_rec: list[str] = []
-        bad_struct: list[str] = []
-        bad_iso: list[str] = []
-        for n, g in _graphs(p, ns, graph_cap):
-            expected_order = pfib(p, n + p + 1)
-            if g.vertex_count != expected_order:
-                bad_order.append(
-                    f"p={p} n={n}: |V|={g.vertex_count} expected {expected_order}"
-                )
-            expected_size = total_edges_closed(p, n)
-            if g.edge_count != expected_size:
-                bad_size.append(
-                    f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}"
-                )
-            for i in range(1, n + 1):
-                counted = direction_edge_count(g, i)
-                closed = direction_edge_count_closed(p, n, i)
-                if counted != closed:
-                    bad_dir.append(
-                        f"p={p} n={n} i={i}: counted {counted} expected {closed}"
-                    )
-            census = Counter(v.weight for v in g.vertices)
-            for w in range(max_weight(p, n) + 2):
-                if census.get(w, 0) != count_by_weight(p, n, w):
-                    bad_weight.append(
-                        f"p={p} n={n} w={w}: census {census.get(w, 0)} "
-                        f"expected {count_by_weight(p, n, w)}"
-                    )
-            if n >= p + 1:
-                recursed = (
-                    total_edges_closed(p, n - 1)
-                    + total_edges_closed(p, n - p - 1)
-                    + pfib(p, n)
-                )
-                if total_edges_closed(p, n) != recursed:
-                    bad_rec.append(f"p={p} n={n}: recursion gives {recursed}")
-            bad_struct.extend(_structure_mismatches(g))
-            if g.vertex_count <= ALL_PAIRS_LIMIT:
-                bad_iso.extend(_isometry_mismatches(g))
-        results.append(_result(f"counts/order p={p}", bad_order))
-        results.append(_result(f"counts/size p={p}", bad_size))
-        results.append(_result(f"counts/directions p={p}", bad_dir))
-        results.append(_result(f"counts/weight-census p={p}", bad_weight))
-        results.append(_result(f"counts/edge-recursion p={p}", bad_rec))
-        results.append(_result(f"counts/structure p={p}", bad_struct))
-        results.append(_result(f"counts/partial-cube p={p}", bad_iso))
-    return results
+def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
+    g = build(p, n, cap=graph_cap)
+    expected_order = pfib(p, n + p + 1)
+    if g.vertex_count != expected_order:
+        bad["order"].append(
+            f"p={p} n={n}: |V|={g.vertex_count} expected {expected_order}"
+        )
+    expected_size = total_edges_closed(p, n)
+    if g.edge_count != expected_size:
+        bad["size"].append(f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}")
+    for i in range(1, n + 1):
+        counted = direction_edge_count(g, i)
+        closed = direction_edge_count_closed(p, n, i)
+        if counted != closed:
+            bad["directions"].append(
+                f"p={p} n={n} i={i}: counted {counted} expected {closed}"
+            )
+    census = Counter(v.weight for v in g.vertices)
+    for w in range(max_weight(p, n) + 2):
+        if census.get(w, 0) != count_by_weight(p, n, w):
+            bad["weight-census"].append(
+                f"p={p} n={n} w={w}: census {census.get(w, 0)} "
+                f"expected {count_by_weight(p, n, w)}"
+            )
+    if n >= p + 1:
+        recursed = (
+            total_edges_closed(p, n - 1) + total_edges_closed(p, n - p - 1) + pfib(p, n)
+        )
+        if total_edges_closed(p, n) != recursed:
+            bad["edge-recursion"].append(f"p={p} n={n}: recursion gives {recursed}")
+    bad["structure"].extend(_structure_mismatches(g))
+    if g.vertex_count <= ALL_PAIRS_LIMIT:
+        bad["partial-cube"].extend(_isometry_mismatches(g))
 
 
 def _structure_mismatches(g: PCubeGraph) -> list[str]:
@@ -169,189 +147,129 @@ def _isometry_mismatches(g: PCubeGraph) -> list[str]:
     return out
 
 
-def suite_cubes(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
-    """Cube counts against every closed form, plus the daisy identities."""
-    results: list[CheckResult] = []
-    for p in ps:
-        bad_ck: list[str] = []
-        bad_ckd: list[str] = []
-        bad_daisy: list[str] = []
-        for n, g in _graphs(p, ns, graph_cap):
-            census = cube_census(g)
-            poly = cube_poly_closed(p, n)
-            wpoly = weight_poly(p, n)
-            dpoly = dist_cube_poly_closed(p, n)
-            top = max_weight(p, n)
-            for k in range(top + 2):
-                oracle = sum(v for (kk, _), v in census.items() if kk == k)
-                closed = cube_count_closed(p, n, k)
-                coeff = poly.coeff(k)
-                m = n - k * p + p + 1
-                conv = kfold_convolution(p, k, m) if m >= 0 else 0
-                if not oracle == closed == coeff == conv:
-                    bad_ck.append(
-                        f"p={p} n={n} k={k}: oracle={oracle} sum={closed} "
-                        f"expansion={coeff} convolution={conv}"
-                    )
-            for k in range(top + 2):
-                for d in range(top + 2):
-                    oracle = census.get((k, d), 0)
-                    closed = dist_cube_count_closed(p, n, k, d)
-                    if oracle != closed:
-                        bad_ckd.append(
-                            f"p={p} n={n} k={k} d={d}: oracle={oracle} "
-                            f"closed={closed}"
-                        )
-            xq = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
-            xq_minus_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-            if dpoly != substitute(wpoly, xq):
-                bad_daisy.append(f"p={p} n={n}: D != W(x+q)")
-            if poly != substitute(wpoly, 1):
-                bad_daisy.append(f"p={p} n={n}: C != W(x+1)")
-            if dpoly != substitute(poly, xq_minus_1):
-                bad_daisy.append(f"p={p} n={n}: D != C(x+q-1)")
-            if dpoly != dpoly.swap():
-                bad_daisy.append(f"p={p} n={n}: D(x,q) != D(q,x)")
-            if poly(0) != g.vertex_count or poly.coeff(1) != g.edge_count:
-                bad_daisy.append(f"p={p} n={n}: C(0) or [x]C disagrees with graph")
-            if poly.degree() != top:
-                bad_daisy.append(f"p={p} n={n}: deg C = {poly.degree()} != {top}")
-        results.append(_result(f"cubes/counts p={p}", bad_ck))
-        results.append(_result(f"cubes/distance-counts p={p}", bad_ckd))
-        results.append(_result(f"cubes/daisy-identities p={p}", bad_daisy))
-    return results
-
-
-def suite_gf(
-    ps: Sequence[int],
-    order: int = DEFAULT_ORDER,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
-) -> list[CheckResult]:
-    """All generating-function identities, coefficient-exact to the order."""
-    results: list[CheckResult] = []
-    oracle_cap = min(graph_cap, 9)
-    for p in ps:
-        bad: list[str] = []
-        denom = gap_denominator(INTS, 1, p, order)
-        t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
-        if pfib_series(p, order) * denom != t_series:
-            bad.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
-        cube_gf = rational_gf(p, "cube", order)
-        weight_gf = rational_gf(p, "weight", order)
-        distance_gf = rational_gf(p, "distance", order)
-        for n in range(order + 1):
-            if cube_gf.coeff(n) != cube_poly_closed(p, n):
-                bad.append(
-                    f"p={p} n={n}: cube gf gives {cube_gf.coeff(n).render()}, "
-                    f"closed form {cube_poly_closed(p, n).render()}"
-                )
-                break
-            if weight_gf.coeff(n) != weight_poly(p, n):
-                bad.append(
-                    f"p={p} n={n}: weight gf gives {weight_gf.coeff(n).render()}, "
-                    f"closed form {weight_poly(p, n).render()}"
-                )
-                break
-            if distance_gf.coeff(n) != dist_cube_poly_closed(p, n):
-                bad.append(
-                    f"p={p} n={n}: distance gf gives "
-                    f"{distance_gf.coeff(n).render()}, "
-                    f"closed form {dist_cube_poly_closed(p, n).render()}"
-                )
-                break
-        if not verify_weight_gf_expansion(p, order):
-            bad.append(f"p={p}: marked-series split/expansion identity fails")
-        for k in range(4):
-            if not verify_cube_count_gf(p, k, order, graph_cap=oracle_cap):
-                bad.append(f"p={p} k={k}: fixed-k gf mismatch")
-        results.append(_result(f"gf/identities p={p}", bad))
-    return results
-
-
-def suite_indices(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
-    """Wiener and Mostar closed forms against the BFS oracles."""
-    results: list[CheckResult] = []
-    for p in ps:
-        bad_w: list[str] = []
-        bad_m: list[str] = []
-        bad_rel: list[str] = []
-        for n, g in _graphs(p, ns, graph_cap):
-            wo, wc = wiener_oracle(g), wiener_closed(p, n)
-            mo, mc = mostar_oracle(g), mostar_closed(p, n)
-            if wo != wc:
-                bad_w.append(f"p={p} n={n}: oracle {wo} closed {wc}")
-            if mo != mc:
-                bad_m.append(f"p={p} n={n}: oracle {mo} closed {mc}")
-            squares = sum(
-                direction_edge_count_closed(p, n, i) ** 2 for i in range(1, n + 1)
+def _cubes_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
+    g = build(p, n, cap=graph_cap)
+    census = cube_census(g)
+    poly = cube_poly_closed(p, n)
+    wpoly = weight_poly(p, n)
+    dpoly = dist_cube_poly_closed(p, n)
+    top = max_weight(p, n)
+    for k in range(top + 2):
+        oracle = sum(v for (kk, _), v in census.items() if kk == k)
+        closed = cube_count_closed(p, n, k)
+        coeff = poly.coeff(k)
+        m = n - k * p + p + 1
+        conv = kfold_convolution(p, k, m) if m >= 0 else 0
+        if not oracle == closed == coeff == conv:
+            bad["counts"].append(
+                f"p={p} n={n} k={k}: oracle={oracle} sum={closed} "
+                f"expansion={coeff} convolution={conv}"
             )
-            if wc - mc != squares or squares < 0:
-                bad_rel.append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
-        results.append(_result(f"indices/wiener p={p}", bad_w))
-        results.append(_result(f"indices/mostar p={p}", bad_m))
-        results.append(_result(f"indices/wiener-mostar-gap p={p}", bad_rel))
-    return results
-
-
-def suite_irregularity(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
-    """Irregularity closed form, imbalanced-pair sets, and the projection."""
-    results: list[CheckResult] = []
-    for p in ps:
-        bad_irr: list[str] = []
-        bad_rec: list[str] = []
-        bad_sets: list[str] = []
-        bad_bij: list[str] = []
-        bad_props: list[str] = []
-        notes: list[str] = []
-        for n, g in _graphs(p, ns, graph_cap):
-            records = imbalance_census(g)
-            oracle = irregularity_oracle(g)
-            if sum(r.imbalance for r in records) != oracle:
-                bad_rec.append(f"p={p} n={n}: imbalances do not sum to irr")
-            for r in records:
-                if r.imbalance != len(r.pairs):
-                    bad_rec.append(
-                        f"p={p} n={n}: edge at direction {r.direction} has "
-                        f"imbalance {r.imbalance} but {len(r.pairs)} pairs"
-                    )
-                    break
-                if any(not 1 <= pair.offset <= p for pair in r.pairs):
-                    bad_rec.append(f"p={p} n={n}: pair offset outside [1, p]")
-                    break
-            bad_props.extend(_neighbour_prop_mismatches(g))
-            if n < p:
-                notes.append(
-                    f"p={p} n={n}: theorem not applicable (n < p), oracle-only; "
-                    f"irr={oracle}"
+    for k in range(top + 2):
+        for d in range(top + 2):
+            oracle = census.get((k, d), 0)
+            closed = dist_cube_count_closed(p, n, k, d)
+            if oracle != closed:
+                bad["distance-counts"].append(
+                    f"p={p} n={n} k={k} d={d}: oracle={oracle} closed={closed}"
                 )
-                continue
-            closed = irregularity_closed(p, n)
-            if closed != oracle:
-                bad_irr.append(f"p={p} n={n}: oracle {oracle} closed {closed}")
-            for d in range(1, p + 1):
-                rp = right_pairs(records, d)
-                lp = left_pairs(records, d)
-                expected = total_edges_closed(p, n - d)
-                if len(rp) != expected or len(lp) != expected:
-                    bad_sets.append(
-                        f"p={p} n={n} d={d}: |R|={len(rp)} |L|={len(lp)} "
-                        f"expected {expected}"
-                    )
-                bad_bij.extend(_projection_mismatches(g, rp, d))
-        results.append(_result(f"irregularity/closed-form p={p}", bad_irr,
-                               "; ".join(notes)))
-        results.append(_result(f"irregularity/imbalance-records p={p}", bad_rec))
-        results.append(_result(f"irregularity/pair-set-sizes p={p}", bad_sets))
-        results.append(_result(f"irregularity/projection-bijection p={p}", bad_bij))
-        results.append(_result(f"irregularity/neighbour-propositions p={p}",
-                               bad_props))
-    return results
+    daisy = bad["daisy-identities"]
+    if dpoly != substitute(wpoly, _XQ):
+        daisy.append(f"p={p} n={n}: D != W(x+q)")
+    if poly != substitute(wpoly, 1):
+        daisy.append(f"p={p} n={n}: C != W(x+1)")
+    if dpoly != substitute(poly, _XQ_MINUS_1):
+        daisy.append(f"p={p} n={n}: D != C(x+q-1)")
+    if dpoly != dpoly.swap():
+        daisy.append(f"p={p} n={n}: D(x,q) != D(q,x)")
+    if poly(0) != g.vertex_count or poly.coeff(1) != g.edge_count:
+        daisy.append(f"p={p} n={n}: C(0) or [x]C disagrees with graph")
+    if poly.degree() != top:
+        daisy.append(f"p={p} n={n}: deg C = {poly.degree()} != {top}")
+
+
+def _gf_at(bad: Mismatches, p: int, order: int, graph_cap: int) -> None:
+    out = bad["identities"]
+    denom = gap_denominator(INTS, 1, p, order)
+    t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
+    if pfib_series(p, order) * denom != t_series:
+        out.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
+    cube_gf = rational_gf(p, "cube", order)
+    weight_gf = rational_gf(p, "weight", order)
+    distance_gf = rational_gf(p, "distance", order)
+    for n in range(order + 1):
+        if cube_gf.coeff(n) != cube_poly_closed(p, n):
+            out.append(
+                f"p={p} n={n}: cube gf gives {cube_gf.coeff(n).render()}, "
+                f"closed form {cube_poly_closed(p, n).render()}"
+            )
+            break
+        if weight_gf.coeff(n) != weight_poly(p, n):
+            out.append(
+                f"p={p} n={n}: weight gf gives {weight_gf.coeff(n).render()}, "
+                f"closed form {weight_poly(p, n).render()}"
+            )
+            break
+        if distance_gf.coeff(n) != dist_cube_poly_closed(p, n):
+            out.append(
+                f"p={p} n={n}: distance gf gives "
+                f"{distance_gf.coeff(n).render()}, "
+                f"closed form {dist_cube_poly_closed(p, n).render()}"
+            )
+            break
+    if not verify_weight_gf_expansion(p, order):
+        out.append(f"p={p}: marked-series split/expansion identity fails")
+    oracle_cap = min(graph_cap, 9)
+    for k in range(4):
+        if not verify_cube_count_gf(p, k, order, graph_cap=oracle_cap):
+            out.append(f"p={p} k={k}: fixed-k gf mismatch")
+
+
+def _indices_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
+    g = build(p, n, cap=graph_cap)
+    wo, wc = wiener_oracle(g), wiener_closed(p, n)
+    mo, mc = mostar_oracle(g), mostar_closed(p, n)
+    if wo != wc:
+        bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
+    if mo != mc:
+        bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
+    squares = sum(direction_edge_count_closed(p, n, i) ** 2 for i in range(1, n + 1))
+    if wc - mc != squares or squares < 0:
+        bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
+
+
+def _irregularity_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optional[str]:
+    g = build(p, n, cap=graph_cap)
+    records = imbalance_census(g)
+    oracle = irregularity_oracle(g)
+    if sum(r.imbalance for r in records) != oracle:
+        bad["imbalance-records"].append(f"p={p} n={n}: imbalances do not sum to irr")
+    for r in records:
+        if r.imbalance != len(r.pairs):
+            bad["imbalance-records"].append(
+                f"p={p} n={n}: edge at direction {r.direction} has "
+                f"imbalance {r.imbalance} but {len(r.pairs)} pairs"
+            )
+            break
+        if any(not 1 <= pair.offset <= p for pair in r.pairs):
+            bad["imbalance-records"].append(f"p={p} n={n}: pair offset outside [1, p]")
+            break
+    bad["neighbour-propositions"].extend(_neighbour_prop_mismatches(g))
+    if n < p:
+        return f"p={p} n={n}: theorem not applicable (n < p), oracle-only; irr={oracle}"
+    closed = irregularity_closed(p, n)
+    if closed != oracle:
+        bad["closed-form"].append(f"p={p} n={n}: oracle {oracle} closed {closed}")
+    for d in range(1, p + 1):
+        rp = right_pairs(records, d)
+        lp = left_pairs(records, d)
+        expected = total_edges_closed(p, n - d)
+        if len(rp) != expected or len(lp) != expected:
+            bad["pair-set-sizes"].append(
+                f"p={p} n={n} d={d}: |R|={len(rp)} |L|={len(lp)} expected {expected}"
+            )
+        bad["projection-bijection"].extend(_projection_mismatches(g, rp, d))
+    return None
 
 
 def _neighbour_prop_mismatches(g: PCubeGraph) -> list[str]:
@@ -403,6 +321,78 @@ def _projection_mismatches(
     return out
 
 
+# Suite name -> (check names in report order, per-(p, n) filler), in the
+# order `all` runs them.  The filler may return a note for the first check.
+SUITES: dict[str, tuple[tuple[str, ...], Callable[..., Optional[str]]]] = {
+    "cubes": (("counts", "distance-counts", "daisy-identities"), _cubes_at),
+    "gf": (("identities",), _gf_at),
+    "indices": (("wiener", "mostar", "wiener-mostar-gap"), _indices_at),
+    "irregularity": (
+        ("closed-form", "imbalance-records", "pair-set-sizes",
+         "projection-bijection", "neighbour-propositions"),
+        _irregularity_at,
+    ),
+    "counts": (
+        ("order", "size", "directions", "weight-census", "edge-recursion",
+         "structure", "partial-cube"),
+        _counts_at,
+    ),
+}
+CHOICES = (*SUITES, "all")
+
+
+def _grid(
+    suite: str, ps: Sequence[int], ns: Sequence[int], graph_cap: int
+) -> list[CheckResult]:
+    checks, fill = SUITES[suite]
+    results: list[CheckResult] = []
+    for p in ps:
+        bad: Mismatches = {check: [] for check in checks}
+        notes = [note for n in ns if (note := fill(bad, p, n, graph_cap))]
+        note = "; ".join(notes)
+        for check in checks:
+            results.append(_result(f"{suite}/{check} p={p}", bad[check], note))
+            note = ""
+    return results
+
+
+def suite_counts(
+    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
+) -> list[CheckResult]:
+    """Order, size, direction counts, weight census, and structure checks."""
+    return _grid("counts", ps, ns, graph_cap)
+
+
+def suite_cubes(
+    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
+) -> list[CheckResult]:
+    """Cube counts against every closed form, plus the daisy identities."""
+    return _grid("cubes", ps, ns, graph_cap)
+
+
+def suite_gf(
+    ps: Sequence[int],
+    order: int = DEFAULT_ORDER,
+    graph_cap: int = DEFAULT_GRAPH_CAP,
+) -> list[CheckResult]:
+    """All generating-function identities, coefficient-exact to the order."""
+    return _grid("gf", ps, (order,), graph_cap)
+
+
+def suite_indices(
+    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
+) -> list[CheckResult]:
+    """Wiener and Mostar closed forms against the BFS oracles."""
+    return _grid("indices", ps, ns, graph_cap)
+
+
+def suite_irregularity(
+    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
+) -> list[CheckResult]:
+    """Irregularity closed form, imbalanced-pair sets, and the projection."""
+    return _grid("irregularity", ps, ns, graph_cap)
+
+
 def run_suite(
     suite: str,
     ps: Sequence[int],
@@ -410,18 +400,11 @@ def run_suite(
     order: int = DEFAULT_ORDER,
     graph_cap: int = DEFAULT_GRAPH_CAP,
 ) -> list[CheckResult]:
-    """Run one named suite (or all of them) over the given grid."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    """Run one named suite, or all of them in table order, over the given grid."""
+    if suite not in CHOICES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {CHOICES}")
     results: list[CheckResult] = []
-    if suite in ("cubes", "all"):
-        results.extend(suite_cubes(ps, ns, graph_cap))
-    if suite in ("gf", "all"):
-        results.extend(suite_gf(ps, order, graph_cap))
-    if suite in ("indices", "all"):
-        results.extend(suite_indices(ps, ns, graph_cap))
-    if suite in ("irregularity", "all"):
-        results.extend(suite_irregularity(ps, ns, graph_cap))
-    if suite == "all":
-        results.extend(suite_counts(ps, ns, graph_cap))
+    for name in SUITES if suite == "all" else (suite,):
+        # The gf suite walks series orders, not graph sizes.
+        results.extend(_grid(name, ps, (order,) if name == "gf" else ns, graph_cap))
     return results

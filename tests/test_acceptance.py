@@ -2,48 +2,37 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s or -rA to see them)
 and asserts its runtime bound.  Nothing here reuses cached state from the
-other test modules; every criterion recomputes its own evidence.
+other test modules.  Criteria 2-6 and 8 run the verify suites, the same
+checks the CLI runs, and assert the exact list of checks they report.
 """
 
 import time
 from contextlib import contextmanager
 
-from fibpcubes.cubes import cube_census
-from fibpcubes.graph import bfs_distances, build, hamming, total_edges_closed
+from fibpcubes.graph import build, total_edges_closed
 from fibpcubes.invariants import (
-    imbalance_census,
     irregularity_closed,
     irregularity_oracle,
-    left_pairs,
-    lift_edge,
     mostar_closed,
     mostar_oracle,
-    project_pair,
-    right_pairs,
     wiener_closed,
     wiener_oracle,
 )
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
-    cube_count_closed,
     cube_poly_closed,
-    dist_cube_count_closed,
     dist_cube_poly_closed,
-    substitute,
-    weight_poly,
 )
-from fibpcubes.sequences import kfold_convolution, pfib
-from fibpcubes.series import (
-    INTS,
-    TruncatedSeries,
-    gap_denominator,
-    pfib_series,
-    rational_gf,
-    verify_cube_count_gf,
-    verify_weight_gf_expansion,
+from fibpcubes.sequences import pfib
+from fibpcubes.strings import enumerate_pstrings
+from fibpcubes.verify import (
+    suite_counts,
+    suite_cubes,
+    suite_gf,
+    suite_indices,
+    suite_irregularity,
 )
-from fibpcubes.strings import enumerate_pstrings, max_weight
 
 
 @contextmanager
@@ -70,101 +59,52 @@ def test_criterion_1_vertex_and_edge_counts():
                 assert g.edge_count == total_edges_closed(p, n), (p, n)
 
 
+def assert_all_pass(results, suite, checks, ps):
+    assert [r.name for r in results] == [
+        f"{suite}/{check} p={p}" for p in ps for check in checks
+    ]
+    assert [r for r in results if not r.passed] == []
+
+
+CUBE_CHECKS = ("counts", "distance-counts", "daisy-identities")
+
+
 def test_criterion_2_cube_polynomial():
     with criterion("2 cube polynomial, p in [1,3], n in [0,12]", 120.0):
-        for p in range(1, 4):
-            for n in range(13):
-                census = cube_census(build(p, n))
-                poly = cube_poly_closed(p, n)
-                for k in range(max_weight(p, n) + 2):
-                    oracle = sum(v for (kk, _), v in census.items() if kk == k)
-                    assert oracle == cube_count_closed(p, n, k), (p, n, k)
-                    assert oracle == poly.coeff(k), (p, n, k)
-                    m = n - k * p + p + 1
-                    convolution = kfold_convolution(p, k, m) if m >= 0 else 0
-                    assert oracle == convolution, (p, n, k)
+        results = suite_cubes(range(1, 4), range(13))
+        assert_all_pass(results, "cubes", CUBE_CHECKS, range(1, 4))
 
 
 def test_criterion_3_distance_cube_polynomial():
     with criterion("3 distance cube polynomial and daisy identities", 120.0):
-        xq = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
-        xq_minus_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
-        for p in range(1, 4):
-            for n in range(13):
-                census = cube_census(build(p, n))
-                top = max_weight(p, n)
-                for k in range(top + 2):
-                    for d in range(top + 2):
-                        assert census.get((k, d), 0) == dist_cube_count_closed(
-                            p, n, k, d
-                        ), (p, n, k, d)
-                c = cube_poly_closed(p, n)
-                w = weight_poly(p, n)
-                dpoly = dist_cube_poly_closed(p, n)
-                assert dpoly == substitute(w, xq), (p, n)
-                assert dpoly == substitute(c, xq_minus_1), (p, n)
-                assert dpoly == dpoly.swap(), (p, n)
+        results = suite_cubes(range(1, 4), range(13))
+        assert_all_pass(results, "cubes", CUBE_CHECKS, range(1, 4))
 
 
 def test_criterion_4_generating_functions():
     with criterion("4 generating functions to order 20, p in [0,4]", 10.0):
-        order = 20
-        t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
-        for p in range(5):
-            assert pfib_series(p, order) * gap_denominator(
-                INTS, 1, p, order
-            ) == t_series, p
-            cube_gf = rational_gf(p, "cube", order)
-            weight_gf = rational_gf(p, "weight", order)
-            distance_gf = rational_gf(p, "distance", order)
-            for n in range(order + 1):
-                assert cube_gf.coeff(n) == cube_poly_closed(p, n), (p, n)
-                assert weight_gf.coeff(n) == weight_poly(p, n), (p, n)
-                assert distance_gf.coeff(n) == dist_cube_poly_closed(p, n), (p, n)
-            assert verify_weight_gf_expansion(p, order), p
-            for k in range(1, 4):
-                assert verify_cube_count_gf(p, k, order, graph_cap=8), (p, k)
+        results = suite_gf(range(5), order=20, graph_cap=8)
+        assert_all_pass(results, "gf", ("identities",), range(5))
 
 
 def test_criterion_5_wiener_and_mostar():
     with criterion("5 Wiener/Mostar, p in [1,3], n in [1,12]", 60.0):
         assert wiener_closed(1, 3) == 16
         assert mostar_closed(1, 3) == 7
-        for p in range(1, 4):
-            for n in range(1, 13):
-                g = build(p, n)
-                assert wiener_oracle(g) == wiener_closed(p, n), (p, n)
-                assert mostar_oracle(g) == mostar_closed(p, n), (p, n)
+        results = suite_indices(range(1, 4), range(1, 13))
+        checks = ("wiener", "mostar", "wiener-mostar-gap")
+        assert_all_pass(results, "indices", checks, range(1, 4))
 
 
 def test_criterion_6_irregularity_and_projection():
     with criterion("6 irregularity and pair projection, p in [1,3]", 60.0):
         assert irregularity_closed(1, 3) == 4
         assert irregularity_closed(2, 4) == 10
+        checks = ("closed-form", "imbalance-records", "pair-set-sizes",
+                  "projection-bijection", "neighbour-propositions")
         for p in range(1, 4):
-            for n in range(p, 13):
-                g = build(p, n)
-                records = imbalance_census(g)
-                assert irregularity_closed(p, n) == irregularity_oracle(g), (p, n)
-                for d in range(1, p + 1):
-                    rp = right_pairs(records, d)
-                    lp = left_pairs(records, d)
-                    expected = total_edges_closed(p, n - d)
-                    assert len(rp) == expected, (p, n, d)
-                    assert len(lp) == expected, (p, n, d)
-                    smaller = build(p, n - d)
-                    target = {
-                        (smaller.vertices[hi], dirn)
-                        for _, hi, dirn in smaller.edges
-                    }
-                    images = set()
-                    for pair in rp:
-                        hi, lo = project_pair(g, pair)
-                        assert (hi, pair.i) in target, (p, n, d)
-                        images.add((hi, pair.i))
-                        assert lift_edge(n, d, hi, pair.i) == pair, (p, n, d)
-                    assert len(images) == len(rp), (p, n, d)
-                    assert images == target, (p, n, d)
+            results = suite_irregularity([p], range(p, 13))
+            assert_all_pass(results, "irregularity", checks, [p])
 
 
 def test_criterion_7_hypercube_degeneration():
@@ -189,16 +129,7 @@ def test_criterion_7_hypercube_degeneration():
 
 def test_criterion_8_partial_cube_property():
     with criterion("8 graph distance equals Hamming distance", 60.0):
-        for p in range(1, 4):
-            for n in range(11):
-                g = build(p, n)
-                for source in range(g.vertex_count):
-                    dist = bfs_distances(g, source)
-                    u = g.vertices[source]
-                    for target in range(source + 1, g.vertex_count):
-                        assert dist[target] == hamming(u, g.vertices[target]), (
-                            p,
-                            n,
-                            source,
-                            target,
-                        )
+        results = suite_counts(range(1, 4), range(11))
+        checks = ("order", "size", "directions", "weight-census",
+                  "edge-recursion", "structure", "partial-cube")
+        assert_all_pass(results, "counts", checks, range(1, 4))

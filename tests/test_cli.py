@@ -190,6 +190,12 @@ class TestIndices:
         assert code == 0
         assert "wiener: closed=16 oracle=16" in out
 
+    def test_answer_beyond_int_str_digit_limit(self, capsys):
+        code, out, err = run(capsys, "indices", "--p", "0", "--n", "7200",
+                             "--cap", "0")
+        assert code == 0, err
+        assert len(json.loads(out)["wiener"]["closed"]) > 4300
+
 
 class TestUsageAndDeterminism:
     def test_negative_parameter(self, capsys):
