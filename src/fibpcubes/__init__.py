@@ -15,7 +15,6 @@ from .graph import (
     direction_edge_count,
     direction_edge_count_closed,
     graph_json,
-    hamming,
     to_dot,
     total_edges_closed,
 )
@@ -61,11 +60,8 @@ from .strings import (
     PString,
     count_by_weight,
     enumerate_pstrings,
-    enumerate_reduced,
-    greedy_factor,
     is_pvalid,
     max_weight,
-    star_collapse,
 )
 
 __version__ = "0.1.0"

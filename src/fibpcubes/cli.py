@@ -48,7 +48,6 @@ EXIT_CAP = 3
 class RunConfig:
     """Validated per-invocation settings; fully deterministic, no seeds."""
 
-    command: str
     p_range: tuple[int, int]
     n_range: tuple[int, int]
     fmt: str = "text"
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--n-range", dest="n", type=_span, required=True, metavar="N[..N2]"
     )
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    count.add_argument("--quiet", action="store_true")
 
     poly = sub.add_parser("poly", help="print one counting polynomial")
     poly.add_argument("kind", choices=("cube", "weight", "distance"))
@@ -315,7 +313,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     p_range = args.p if isinstance(args.p, tuple) else (args.p, args.p)
     n_range = args.n if isinstance(args.n, tuple) else (args.n, args.n)
     return RunConfig(
-        command=args.command,
         p_range=p_range,
         n_range=n_range,
         fmt=getattr(args, "format", "text"),

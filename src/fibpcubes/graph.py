@@ -119,10 +119,6 @@ def bfs_distances(g: PCubeGraph, source: int) -> list[int]:
     return dist
 
 
-def hamming(a: PString, b: PString) -> int:
-    return (a.bits ^ b.bits).bit_count()
-
-
 def _label(v: PString) -> str:
     return v.to01() or "λ"
 

@@ -1,8 +1,11 @@
 """Wiener index, Mostar index, and irregularity.
 
-Each invariant comes twice: a graph-level oracle computed from BFS tables
-or degrees alone, and a closed form in the sequence values.  The oracle
-side never uses the direction structure that the closed forms rely on.
+Each invariant comes twice: a graph-level oracle computed from the
+adjacency lists alone, and a closed form in the sequence values.  The
+distance oracles share one sweep that grows every vertex's ball a radius
+at a time as a bitset of vertex ids; ``all_pairs_distances`` is the
+pairwise reference the tests hold them to.  The oracle side never uses the
+direction structure that the closed forms rely on.
 """
 
 from __future__ import annotations
@@ -24,9 +27,41 @@ def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
     return [bfs_distances(g, s) for s in range(g.vertex_count)]
 
 
+def _distance_sums(g: PCubeGraph) -> tuple[list[int], int]:
+    """Per vertex v, the sum over radii r of the vertices outside ball_r(v).
+
+    Each ball is a bitset of vertex ids, grown one radius per round by
+    ``ball[v] |= ball[w]`` over the neighbours w until no ball grows.  A
+    vertex at distance d lies outside d balls, so in a connected graph the
+    sums are the vertices' distance sums.  Also returns the number of
+    ordered pairs left apart when the balls stop growing: 0 exactly when g
+    is connected.  Two rows of |V| balls take about |V|^2 / 4 bytes.
+    """
+    order = g.vertex_count
+    adjacency = g.adjacency
+    balls = [1 << v for v in range(order)]
+    sums = [0] * order
+    outside = [order - 1] * order
+    while any(outside):
+        sums = [s + o for s, o in zip(sums, outside)]
+        grown = []
+        for ball, neighbours in zip(balls, adjacency):
+            for w in neighbours:
+                ball |= balls[w]
+            grown.append(ball)
+        balls = grown
+        last, outside = outside, [order - ball.bit_count() for ball in balls]
+        if outside == last:
+            break
+    return sums, sum(outside)
+
+
 def wiener_oracle(g: PCubeGraph) -> int:
-    """Sum of distances over unordered vertex pairs, by repeated BFS."""
-    return sum(sum(bfs_distances(g, s)) for s in range(g.vertex_count)) // 2
+    """Sum of distances over unordered vertex pairs, from the ball sweep."""
+    sums, apart = _distance_sums(g)
+    if apart:
+        raise ValueError("the Wiener index of a disconnected graph is infinite")
+    return sum(sums) // 2
 
 
 def wiener_closed(p: int, n: int) -> int:
@@ -36,22 +71,15 @@ def wiener_closed(p: int, n: int) -> int:
 
 
 def mostar_oracle(g: PCubeGraph) -> int:
-    """Per-edge |n_uv - n_vu| summed from full distance tables.
+    """Per-edge |n_uv - n_vu|, from the distance sums T of the endpoints.
 
-    The graph is bipartite so no vertex ties, but the oracle counts both
-    sides from the definition regardless.
+    A vertex closer to u than to its neighbour v is one step farther from
+    v, and a vertex at equal distance counts on neither side, so
+    n_uv - n_vu = T(v) - T(u).  Vertices out of reach add the same amount
+    to both sums, so the identity holds on a disconnected graph too.
     """
-    dist = all_pairs_distances(g)
-    total = 0
-    for lo, hi, _ in g.edges:
-        closer_lo = closer_hi = 0
-        for row in dist:
-            if row[lo] < row[hi]:
-                closer_lo += 1
-            elif row[hi] < row[lo]:
-                closer_hi += 1
-        total += abs(closer_lo - closer_hi)
-    return total
+    sums, _ = _distance_sums(g)
+    return sum(abs(sums[lo] - sums[hi]) for lo, hi, _ in g.edges)
 
 
 def mostar_closed(p: int, n: int) -> int:

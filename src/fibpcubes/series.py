@@ -1,15 +1,15 @@
 """Truncated formal power series in t over an exact coefficient ring.
 
 Coefficients may be ints, Polynomials, or BivarPolys; a ring is described
-by its zero and one together with an int embedding.  One engine therefore
-serves every generating function checked here.  Arithmetic is exact and
-never consults orders beyond the truncation.
+by its zero and one.  One engine therefore serves every generating function
+checked here.  Arithmetic is exact and never consults orders beyond the
+truncation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .cubes import enumerate_cubes
 from .graph import build
@@ -24,12 +24,11 @@ DEFAULT_ORDER = 20
 class CoefficientRing:
     zero: Any
     one: Any
-    from_int: Callable[[int], Any]
 
 
-INTS = CoefficientRing(0, 1, int)
-POLYS = CoefficientRing(Polynomial.zero(), Polynomial.one(), Polynomial.const)
-BIVAR = CoefficientRing(BivarPoly.zero(), BivarPoly.one(), BivarPoly.const)
+INTS = CoefficientRing(0, 1)
+POLYS = CoefficientRing(Polynomial.zero(), Polynomial.one())
+BIVAR = CoefficientRing(BivarPoly.zero(), BivarPoly.one())
 
 
 @dataclass(frozen=True)

@@ -123,74 +123,3 @@ def count_by_weight(p: int, n: int, w: int) -> int:
     if w < 0:
         return 0
     return binomial(n - w * p + p, w)
-
-
-def star_collapse(u: PString, p: int) -> PString:
-    """Collapse every 1 0^p block of u 0^p to a star, encoded as a 1 bit.
-
-    For a p-valid u of length n and weight w the result has length
-    n + p - w*p and weight w (weight 0 maps to the all-zero string of
-    length n + p).  The map is injective on the p-valid strings of a fixed
-    length, and its image on each weight class is the full set of weight-w
-    strings of the collapsed length.
-    """
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    if not is_pvalid(u, p):
-        raise ValueError(f"{u!r} is not {p}-valid")
-    bits = 0
-    length = 0
-    text = u.to01() + "0" * p
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "1":
-            bits = (bits << 1) | 1
-            pos += p + 1  # the p zeros after a 1 are guaranteed by validity
-        else:
-            bits <<= 1
-            pos += 1
-        length += 1
-    return PString(length, bits)
-
-
-def greedy_factor(s: PString, p: int) -> list[PString]:
-    """Factor s over the two-token alphabet {0, 1 0^p}, left to right.
-
-    A 1 can only start a 1 0^p token and a 0 only a 0 token, so any
-    factorization is forced; raises ValueError when none exists.
-    """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
-    text = s.to01()
-    zero = PString(1, 0)
-    block = PString(p + 1, 1 << p)
-    tokens: list[PString] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "1":
-            if text[pos + 1 : pos + p + 1] != "0" * p:
-                raise ValueError(f"{s!r} is not a concatenation of 0 and 1 0^{p}")
-            tokens.append(block)
-            pos += p + 1
-        else:
-            tokens.append(zero)
-            pos += 1
-    return tokens
-
-
-def enumerate_reduced(p: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[PString]:
-    """The p-valid strings of length n not ending in 1 0^r with r < p.
-
-    For n >= p these are exactly v 0^p with v p-valid of length n - p, and
-    for n < p only the all-zero string qualifies; either way the count is
-    pfib(p, n+1).  Output is lexicographic.
-    """
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > cap:
-        raise SizeLimitError(f"n = {n} exceeds the enumeration cap {cap}")
-    if n < p:
-        return [PString(n, 0)]
-    return [PString(n, bits << p) for bits in _pvalid_bits(p, n - p)]

@@ -21,7 +21,6 @@ from .graph import (
     build,
     direction_edge_count,
     direction_edge_count_closed,
-    hamming,
     total_edges_closed,
 )
 from .invariants import (
@@ -59,8 +58,9 @@ from .series import (
 )
 from .strings import count_by_weight, max_weight
 
-# All-pairs BFS checks are quadratic in |V|; skip beyond this many vertices.
-ALL_PAIRS_LIMIT = 4096
+# The partial-cube certificate's ball sweep holds two rows of |V| bitsets of
+# |V| bits; beyond this many vertices it is skipped and a note says so.
+ALL_PAIRS_LIMIT = 1 << 14
 
 _XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
 _XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
@@ -82,7 +82,7 @@ def _result(name: str, mismatches: list[str], note: str = "") -> CheckResult:
     return CheckResult(name, True, note)
 
 
-def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
+def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optional[str]:
     g = build(p, n, cap=graph_cap)
     expected_order = pfib(p, n + p + 1)
     if g.vertex_count != expected_order:
@@ -113,8 +113,13 @@ def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
         if total_edges_closed(p, n) != recursed:
             bad["edge-recursion"].append(f"p={p} n={n}: recursion gives {recursed}")
     bad["structure"].extend(_structure_mismatches(g))
-    if g.vertex_count <= ALL_PAIRS_LIMIT:
-        bad["partial-cube"].extend(_isometry_mismatches(g))
+    if g.vertex_count > ALL_PAIRS_LIMIT:
+        return (
+            f"p={p} n={n}: partial-cube not checked, "
+            f"|V| = {g.vertex_count} > {ALL_PAIRS_LIMIT}"
+        )
+    bad["partial-cube"].extend(_partial_cube_mismatches(g))
+    return None
 
 
 def _structure_mismatches(g: PCubeGraph) -> list[str]:
@@ -122,29 +127,31 @@ def _structure_mismatches(g: PCubeGraph) -> list[str]:
     tag = f"p={g.p} n={g.n}"
     if sum(len(nbrs) for nbrs in g.adjacency) != 2 * g.edge_count:
         out.append(f"{tag}: degree sum != 2|E|")
-    for lo, hi, _ in g.edges:
-        if g.vertices[hi].weight != g.vertices[lo].weight + 1:
-            out.append(f"{tag}: edge {lo}-{hi} does not raise weight by 1")
+    for lo, hi, i in g.edges:
+        lo_bits, mask = g.vertices[lo].bits, 1 << (g.n - i)
+        if lo_bits & mask or g.vertices[hi].bits != lo_bits | mask:
+            out.append(f"{tag}: edge {lo}-{hi} does not set exactly bit {i}")
             break
     if g.vertex_count and min(bfs_distances(g, 0)) < 0:
         out.append(f"{tag}: graph is disconnected")
     return out
 
 
-def _isometry_mismatches(g: PCubeGraph) -> list[str]:
-    out = []
-    for source in range(g.vertex_count):
-        dist = bfs_distances(g, source)
-        u = g.vertices[source]
-        for target in range(source + 1, g.vertex_count):
-            h = hamming(u, g.vertices[target])
-            if dist[target] != h:
-                out.append(
-                    f"p={g.p} n={g.n}: d({source},{target})={dist[target]} "
-                    f"but Hamming {h}"
-                )
-                return out
-    return out
+def _partial_cube_mismatches(g: PCubeGraph) -> list[str]:
+    # Every edge flips one coordinate (the structure check), so each pair's
+    # graph distance is at least its Hamming distance, and the two sums over
+    # all pairs agree exactly when every pair does.
+    tag = f"p={g.p} n={g.n}"
+    order = g.vertex_count
+    ones = [sum(v.bit(i) for v in g.vertices) for i in range(1, g.n + 1)]
+    hamming_sum = sum(c * (order - c) for c in ones)
+    try:
+        wiener = wiener_oracle(g)
+    except ValueError as exc:
+        return [f"{tag}: {exc}"]
+    if wiener != hamming_sum:
+        return [f"{tag}: Wiener index {wiener} but Hamming sum {hamming_sum}"]
+    return []
 
 
 def _cubes_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
@@ -382,7 +389,7 @@ def suite_gf(
 def suite_indices(
     ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
 ) -> list[CheckResult]:
-    """Wiener and Mostar closed forms against the BFS oracles."""
+    """Wiener and Mostar closed forms against the ball-sweep oracles."""
     return _grid("indices", ps, ns, graph_cap)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import pytest
@@ -21,3 +22,24 @@ def census(built):
         return cube_census(built(p, n))
 
     return _census
+
+
+@pytest.fixture(scope="session")
+def drop_edge():
+    """A copy of a graph with one edge removed; no closed form describes it."""
+
+    def _drop(g, edge):
+        lo, hi, _ = edge
+        adjacency = [list(nbrs) for nbrs in g.adjacency]
+        adjacency[lo].remove(hi)
+        adjacency[hi].remove(lo)
+        return dataclasses.replace(
+            g,
+            adjacency=adjacency,
+            edges=[e for e in g.edges if e != edge],
+            edges_by_direction=[
+                [e for e in per if e != edge] for per in g.edges_by_direction
+            ],
+        )
+
+    return _drop

@@ -3,7 +3,9 @@
 Each test prints one PASS/FAIL line (run pytest with -s or -rA to see them)
 and asserts its runtime bound.  Nothing here reuses cached state from the
 other test modules.  Criteria 2-6 and 8 run the verify suites, the same
-checks the CLI runs, and assert the exact list of checks they report.
+checks the CLI runs, and assert the exact list of checks they report;
+criterion 8 also compares every pair's BFS distance with its Hamming
+distance.
 """
 
 import time
@@ -11,6 +13,7 @@ from contextlib import contextmanager
 
 from fibpcubes.graph import build, total_edges_closed
 from fibpcubes.invariants import (
+    all_pairs_distances,
     irregularity_closed,
     irregularity_oracle,
     mostar_closed,
@@ -133,3 +136,10 @@ def test_criterion_8_partial_cube_property():
         checks = ("order", "size", "directions", "weight-census",
                   "edge-recursion", "structure", "partial-cube")
         assert_all_pass(results, "counts", checks, range(1, 4))
+        # pairwise route, beside the suite's Wiener-sum certificate
+        for p in range(1, 4):
+            for n in range(11):
+                g = build(p, n)
+                for u, row in zip(g.vertices, all_pairs_distances(g)):
+                    hamming = [(u.bits ^ v.bits).bit_count() for v in g.vertices]
+                    assert row == hamming, (p, n, u)

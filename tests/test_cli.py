@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibpcubes import cli
+from fibpcubes import cli, verify
 from fibpcubes.polynomials import BivarPoly, Polynomial, cube_poly_closed
 from fibpcubes.verify import CheckResult
 
@@ -97,6 +97,14 @@ class TestVerify:
                            "--n", "0..1")
         assert code == 0
         assert "theorem not applicable (n < p), oracle-only" in out
+
+    def test_partial_cube_skip_note(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "ALL_PAIRS_LIMIT", 8)
+        code, out, _ = run(capsys, "verify", "counts", "--p", "1", "--n", "3..5")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "PASS counts/order p=1: p=1 n=5: partial-cube not checked, |V| = 13 > 8"
+        )
 
     def test_quiet_drops_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "indices", "--p", "1", "--n", "0..3",

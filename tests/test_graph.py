@@ -9,7 +9,6 @@ from fibpcubes.graph import (
     direction_edge_count,
     direction_edge_count_closed,
     graph_json,
-    hamming,
     to_dot,
     total_edges_closed,
 )
@@ -118,7 +117,7 @@ def test_distance_equals_hamming(built):
                 dist = bfs_distances(g, source)
                 u = g.vertices[source]
                 for target in range(g.vertex_count):
-                    assert dist[target] == hamming(u, g.vertices[target])
+                    assert dist[target] == (u.bits ^ g.vertices[target].bits).bit_count()
 
 
 def test_connected_and_bipartite(built):

@@ -3,6 +3,7 @@ import pytest
 from fibpcubes.graph import direction_edge_count_closed, total_edges_closed
 from fibpcubes.invariants import (
     ImbalancedPair,
+    all_pairs_distances,
     imbalance_census,
     irregularity_closed,
     irregularity_oracle,
@@ -18,6 +19,49 @@ from fibpcubes.invariants import (
 from fibpcubes.strings import PString
 
 GRID = [(p, n) for p in (1, 2, 3) for n in range(10)]
+
+
+def pairwise_wiener(dist):
+    return sum(map(sum, dist)) // 2
+
+
+def pairwise_mostar(g, dist):
+    total = 0
+    for lo, hi, _ in g.edges:
+        closer_lo = sum(row[lo] < row[hi] for row in dist)
+        closer_hi = sum(row[hi] < row[lo] for row in dist)
+        total += abs(closer_lo - closer_hi)
+    return total
+
+
+class TestPairwiseReference:
+    """The ball-sweep oracles against their definitions on the BFS table."""
+
+    def test_built_graphs(self, built):
+        for p in range(4):
+            for n in range(9):
+                g = built(p, n)
+                dist = all_pairs_distances(g)
+                assert wiener_oracle(g) == pairwise_wiener(dist), (p, n)
+                assert mostar_oracle(g) == pairwise_mostar(g, dist), (p, n)
+
+    def test_graph_without_an_edge(self, built, drop_edge):
+        # 000000-100000 lies on the square through 000001 and 100001, so the
+        # graph stays connected but is no longer a partial cube.
+        g = built(1, 6)
+        h = drop_edge(g, (0, g.vertex_id(PString.from01("100000")), 1))
+        dist = all_pairs_distances(h)
+        assert min(map(min, dist)) == 0
+        assert wiener_oracle(h) == pairwise_wiener(dist) > wiener_closed(1, 6)
+        assert mostar_oracle(h) == pairwise_mostar(h, dist)
+
+    def test_disconnected_graph(self, built, drop_edge):
+        # the path 01-00-10 without 00-10 leaves 10 on its own
+        g = built(1, 2)
+        h = drop_edge(g, (0, g.vertex_id(PString.from01("10")), 1))
+        with pytest.raises(ValueError):
+            wiener_oracle(h)
+        assert mostar_oracle(h) == pairwise_mostar(h, all_pairs_distances(h)) == 0
 
 
 class TestWiener:

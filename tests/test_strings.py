@@ -5,16 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibpcubes.errors import SizeLimitError
-from fibpcubes.sequences import binomial, pfib
+from fibpcubes.sequences import pfib
 from fibpcubes.strings import (
     PString,
     count_by_weight,
     enumerate_pstrings,
-    enumerate_reduced,
-    greedy_factor,
     is_pvalid,
     max_weight,
-    star_collapse,
 )
 
 
@@ -160,113 +157,3 @@ class TestWeights:
             for n in range(12):
                 best = max(u.weight for u in enumerate_pstrings(p, n))
                 assert best == max_weight(p, n)
-
-
-class TestStarCollapse:
-    def test_examples(self):
-        assert star_collapse(PString.from01("101"), 1).to01() == "11"
-        assert star_collapse(PString.from01("1001"), 2).to01() == "11"
-        # weight 0: the appended zeros survive uncollapsed
-        assert star_collapse(PString.from01("0000"), 2).to01() == "000000"
-
-    def test_requires_positive_p_and_validity(self):
-        with pytest.raises(ValueError):
-            star_collapse(PString.from01("101"), 0)
-        with pytest.raises(ValueError):
-            star_collapse(PString.from01("11"), 1)
-
-    def test_length_weight_and_injectivity(self):
-        for p in range(1, 4):
-            for n in range(13):
-                strings = enumerate_pstrings(p, n)
-                images = [star_collapse(u, p) for u in strings]
-                for u, img in zip(strings, images):
-                    w = u.weight
-                    assert img.n == n + p - w * p
-                    assert img.weight == w
-                assert len(set(images)) == len(strings)
-
-    def test_image_fills_each_weight_class(self):
-        for p in (1, 2):
-            for n in range(11):
-                strings = enumerate_pstrings(p, n)
-                for w in range(max_weight(p, n) + 1):
-                    image = {
-                        star_collapse(u, p) for u in strings if u.weight == w
-                    }
-                    assert len(image) == binomial(n - w * p + p, w)
-                    length = n + p - w * p
-                    full = {
-                        PString(length, bits)
-                        for bits in range(1 << length)
-                        if PString(length, bits).weight == w
-                    }
-                    assert image == full
-
-
-class TestGreedyFactor:
-    def test_tokens(self):
-        tokens = greedy_factor(PString.from01("0100100"), 2)
-        assert [t.to01() for t in tokens] == ["0", "100", "100"]
-        assert greedy_factor(PString(0, 0), 3) == []
-
-    def test_round_trip_on_extended_strings(self):
-        for p in range(1, 4):
-            zeros = PString(p, 0)
-            for n in range(13):
-                for u in enumerate_pstrings(p, n):
-                    extended = u.concat(zeros)
-                    tokens = greedy_factor(extended, p)
-                    rebuilt = PString(0, 0)
-                    for token in tokens:
-                        assert token.to01() in ("0", "1" + "0" * p)
-                        rebuilt = rebuilt.concat(token)
-                    assert rebuilt == extended
-                    blocks = sum(1 for t in tokens if t.weight == 1)
-                    assert blocks == u.weight
-
-    def test_rejects_strings_outside_the_monoid(self):
-        with pytest.raises(ValueError):
-            greedy_factor(PString.from01("1"), 1)
-        with pytest.raises(ValueError):
-            greedy_factor(PString.from01("10"), 2)
-        with pytest.raises(ValueError):
-            greedy_factor(PString.from01("0110"), 1)
-
-
-class TestReduced:
-    def test_examples(self):
-        assert [u.to01() for u in enumerate_reduced(2, 3)] == ["000", "100"]
-        assert [u.to01() for u in enumerate_reduced(1, 2)] == ["00", "10"]
-        for p in range(2, 5):
-            for m in range(p):
-                assert enumerate_reduced(p, m) == [PString(m, 0)]
-
-    def test_counts(self):
-        for p in range(1, 4):
-            for n in range(14):
-                assert len(enumerate_reduced(p, n)) == pfib(p, n + 1)
-
-    def test_matches_suffix_filter(self):
-        # independent definition: p-valid strings not ending in 1 0^r, r < p
-        def ends_short(u, p):
-            text = u.to01()
-            for r in range(p):
-                if text.endswith("1" + "0" * r):
-                    return True
-            return False
-
-        for p in range(1, 4):
-            for n in range(11):
-                expected = [
-                    u for u in enumerate_pstrings(p, n) if not ends_short(u, p)
-                ]
-                assert enumerate_reduced(p, n) == expected
-
-    def test_requires_positive_p(self):
-        with pytest.raises(ValueError):
-            enumerate_reduced(0, 3)
-
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
-            enumerate_reduced(2, 31)

@@ -1,9 +1,13 @@
-"""Fault injection: every closed form, broken on purpose, fails its check."""
+"""Fault injection: every closed form, and every graph a check examines,
+broken on purpose, makes that check fail."""
+
+import dataclasses
 
 import pytest
 
 from fibpcubes import cli, verify
 from fibpcubes.series import TruncatedSeries
+from fibpcubes.strings import PString
 
 
 def plus_one(value):
@@ -41,3 +45,38 @@ def test_broken_closed_form_fails_its_check(
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4", "--N", "6"])
     assert code == 1
     assert f"FAIL {check} p=1: " in capsys.readouterr().out
+
+
+# The edge from 0^n to 1 0^(n-1) lies on a square for n >= 3 and is a bridge
+# at n = 2.  At n = 17, |V| = 4181 is above the old all-pairs limit.
+@pytest.mark.parametrize("n", [6, 17, 2])
+def test_dropped_edge_fails_partial_cube(monkeypatch, capsys, drop_edge, n):
+    build = verify.build
+
+    def build_without_edge(p, m, **kwargs):
+        g = build(p, m, **kwargs)
+        return drop_edge(g, (0, g.vertex_id(PString(m, 1 << (m - 1))), 1))
+
+    monkeypatch.setattr(verify, "build", build_without_edge)
+    results = verify.run_suite("counts", [1], [n])
+    partial_cube = [r for r in results if r.name == "counts/partial-cube p=1"]
+    assert [r.passed for r in partial_cube] == [False]
+
+    code = cli.main(["verify", "counts", "--p", "1", "--n", str(n)])
+    assert code == 1
+    assert "FAIL counts/partial-cube p=1: " in capsys.readouterr().out
+
+
+def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
+    # the edge 000000-000001 still raises the weight by 1, but claims direction 5
+    build = verify.build
+
+    def build_with_wrong_direction(p, m, **kwargs):
+        g = build(p, m, **kwargs)
+        lo, hi, _ = g.edges[0]
+        return dataclasses.replace(g, edges=[(lo, hi, 5), *g.edges[1:]])
+
+    monkeypatch.setattr(verify, "build", build_with_wrong_direction)
+    code = cli.main(["verify", "counts", "--p", "1", "--n", "6"])
+    assert code == 1
+    assert "FAIL counts/structure p=1: " in capsys.readouterr().out
