@@ -8,7 +8,6 @@ every generating-function identity through truncated formal power series.
 from .cubes import InducedCube, count_cubes_at_distance, cube_census, enumerate_cubes
 from .errors import SizeLimitError
 from .graph import (
-    DEFAULT_GRAPH_CAP,
     PCubeGraph,
     bfs_distances,
     build,
@@ -56,7 +55,6 @@ from .series import (
     verify_weight_gf_expansion,
 )
 from .strings import (
-    DEFAULT_ENUM_CAP,
     PString,
     count_by_weight,
     enumerate_pstrings,

@@ -1,8 +1,10 @@
 """Command-line front end: counts, polynomials, verification, exports.
 
-Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 resource
-cap exceeded.  JSON payloads carry every number as a decimal string so that
-64-bit consumers cannot silently overflow.
+Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 size
+limit exceeded.  The only bound on n is the ``--cap`` option of the
+commands that build graphs; the vertex and distance-sweep limits belong to
+the modules that allocate the memory.  JSON payloads carry every number as
+a decimal string so that 64-bit consumers cannot silently overflow.
 """
 
 from __future__ import annotations
@@ -12,11 +14,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import SizeLimitError
 from .graph import (
-    DEFAULT_GRAPH_CAP,
     build,
     direction_edge_count,
     direction_edge_count_closed,
@@ -35,7 +35,7 @@ from .invariants import (
 from .polynomials import cube_poly_closed, dist_cube_poly_closed, weight_poly
 from .sequences import pfib
 from .series import DEFAULT_ORDER
-from .strings import count_by_weight, max_weight
+from .strings import check_vertex_limit, count_by_weight, max_weight
 from .verify import CHOICES, run_suite
 
 EXIT_OK = 0
@@ -43,32 +43,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation settings; fully deterministic, no seeds."""
-
-    p_range: tuple[int, int]
-    n_range: tuple[int, int]
-    fmt: str = "text"
-    order: int = DEFAULT_ORDER
-    cap: int = DEFAULT_GRAPH_CAP
-    quiet: bool = False
-
-    def __post_init__(self) -> None:
-        for name, (lo, hi) in (("p", self.p_range), ("n", self.n_range)):
-            if lo < 0 or hi < lo:
-                raise ValueError(f"invalid {name} range {lo}..{hi}")
-        if self.order < 0:
-            raise ValueError(f"series order must be non-negative, got {self.order}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be non-negative, got {self.cap}")
-
-    def p_values(self) -> list[int]:
-        return list(range(self.p_range[0], self.p_range[1] + 1))
-
-    def n_values(self) -> list[int]:
-        return list(range(self.n_range[0], self.n_range[1] + 1))
+# The default --cap: the largest n that verify, export and indices build.
+DEFAULT_CAP = 24
 
 
 def _span(text: str) -> tuple[int, int]:
@@ -127,31 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--n-range", dest="n", type=_span, default=(0, 8), metavar="N[..N2]"
     )
     verify.add_argument("--N", dest="order", type=_nonneg, default=DEFAULT_ORDER)
-    verify.add_argument("--cap", type=_nonneg, default=DEFAULT_GRAPH_CAP)
+    verify.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--quiet", action="store_true")
 
     export = sub.add_parser("export", help="write the materialized graph")
     export.add_argument("--p", type=_nonneg, required=True)
     export.add_argument("--n", type=_nonneg, required=True)
     export.add_argument("--format", choices=("dot", "json"), default="dot")
     export.add_argument("--output", default="-", help="file path or - for stdout")
-    export.add_argument("--cap", type=_nonneg, default=DEFAULT_GRAPH_CAP)
+    export.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
 
     indices = sub.add_parser(
         "indices", help="distance/degree invariants, closed and oracle"
     )
     indices.add_argument("--p", type=_nonneg, required=True)
     indices.add_argument("--n", type=_nonneg, required=True)
-    indices.add_argument("--cap", type=_nonneg, default=DEFAULT_GRAPH_CAP)
+    indices.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     indices.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 
-def _count_rows(cfg: RunConfig) -> list[dict]:
+def _values(span: tuple[int, int]) -> range:
+    return range(span[0], span[1] + 1)
+
+
+def _count_rows(args: argparse.Namespace) -> list[dict]:
     rows = []
-    for p in cfg.p_values():
-        for n in cfg.n_values():
+    for p in _values(args.p):
+        for n in _values(args.n):
             top = max_weight(p, n)
             rows.append(
                 {
@@ -168,11 +147,11 @@ def _count_rows(cfg: RunConfig) -> list[dict]:
     return rows
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    rows = _count_rows(cfg)
-    if cfg.fmt == "json":
+def cmd_count(args: argparse.Namespace) -> int:
+    rows = _count_rows(args)
+    if args.format == "json":
         print(json.dumps(rows, indent=2))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["p", "n", "vertices", "edges", "max_weight", "weights"])
         for row in rows:
@@ -196,15 +175,15 @@ def cmd_count(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_poly(cfg: RunConfig, kind: str) -> int:
-    p, n = cfg.p_range[0], cfg.n_range[0]
+def cmd_poly(args: argparse.Namespace) -> int:
+    p, n, kind = args.p, args.n, args.kind
     if kind == "cube":
         poly = cube_poly_closed(p, n)
     elif kind == "weight":
         poly = weight_poly(p, n)
     else:
         poly = dist_cube_poly_closed(p, n)
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc: dict = {"p": str(p), "n": str(n), "kind": kind}
         if kind == "distance":
             doc["terms"] = poly.to_json()
@@ -216,16 +195,16 @@ def cmd_poly(cfg: RunConfig, kind: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    if cfg.n_range[1] > cfg.cap:
-        raise SizeLimitError(
-            f"n range up to {cfg.n_range[1]} exceeds the graph cap {cfg.cap}"
-        )
-    results = run_suite(
-        suite, cfg.p_values(), cfg.n_values(), order=cfg.order, graph_cap=cfg.cap
-    )
+def cmd_verify(args: argparse.Namespace) -> int:
+    n_max = args.n[1]
+    if n_max > args.cap:
+        raise SizeLimitError(f"n range up to {n_max} exceeds the graph cap {args.cap}")
+    # The grid's largest graph has the smallest p; gf builds only n <= 9.
+    if args.suite != "gf":
+        check_vertex_limit(args.p[0], n_max)
+    results = run_suite(args.suite, _values(args.p), _values(args.n), order=args.order)
     failed = [r for r in results if not r.passed]
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [
@@ -242,28 +221,26 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
             if r.detail:
                 line += f": {r.detail}"
             print(line)
-        if not cfg.quiet:
-            print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, output: str) -> int:
-    p, n = cfg.p_range[0], cfg.n_range[0]
-    g = build(p, n, cap=cfg.cap)
-    if cfg.fmt == "json":
+def cmd_export(args: argparse.Namespace) -> int:
+    g = build(args.p, args.n, cap=args.cap)
+    if args.format == "json":
         payload = json.dumps(graph_json(g), indent=2) + "\n"
     else:
         payload = to_dot(g)
-    if output == "-":
+    if args.output == "-":
         sys.stdout.write(payload)
     else:
-        with open(output, "w", encoding="utf-8") as handle:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(payload)
     return EXIT_OK
 
 
-def _indices_doc(cfg: RunConfig) -> dict:
-    p, n = cfg.p_range[0], cfg.n_range[0]
+def _indices_doc(args: argparse.Namespace) -> dict:
+    p, n = args.p, args.n
     closed_dirs = [
         str(direction_edge_count_closed(p, n, i)) for i in range(1, n + 1)
     ]
@@ -281,20 +258,23 @@ def _indices_doc(cfg: RunConfig) -> dict:
         },
         "edge_counts_by_direction": {"closed": closed_dirs, "oracle": None},
     }
-    if n <= cfg.cap:
-        g = build(p, n, cap=cfg.cap)
-        doc["wiener"]["oracle"] = str(wiener_oracle(g))
-        doc["mostar"]["oracle"] = str(mostar_oracle(g))
+    if n <= args.cap:
+        g = build(p, n)
         doc["irregularity"]["oracle"] = str(irregularity_oracle(g))
         doc["edge_counts_by_direction"]["oracle"] = [
             str(direction_edge_count(g, i)) for i in range(1, n + 1)
         ]
+        try:  # beyond the sweep limit the distance oracles stay null
+            doc["wiener"]["oracle"] = str(wiener_oracle(g))
+            doc["mostar"]["oracle"] = str(mostar_oracle(g))
+        except SizeLimitError:
+            pass
     return doc
 
 
-def cmd_indices(cfg: RunConfig) -> int:
-    doc = _indices_doc(cfg)
-    if cfg.fmt == "text":
+def cmd_indices(args: argparse.Namespace) -> int:
+    doc = _indices_doc(args)
+    if args.format == "text":
         buffer = io.StringIO()
         buffer.write(f"p={doc['p']} n={doc['n']} vertices={doc['vertices']} ")
         buffer.write(f"edges={doc['edges']}\n")
@@ -307,19 +287,6 @@ def cmd_indices(cfg: RunConfig) -> int:
     else:
         print(json.dumps(doc, indent=2))
     return EXIT_OK
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    p_range = args.p if isinstance(args.p, tuple) else (args.p, args.p)
-    n_range = args.n if isinstance(args.n, tuple) else (args.n, args.n)
-    return RunConfig(
-        p_range=p_range,
-        n_range=n_range,
-        fmt=getattr(args, "format", "text"),
-        order=getattr(args, "order", DEFAULT_ORDER),
-        cap=getattr(args, "cap", DEFAULT_GRAPH_CAP),
-        quiet=getattr(args, "quiet", False),
-    )
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -336,16 +303,15 @@ def main(argv: "list[str] | None" = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        cfg = _config_from(args)
         if args.command == "count":
-            return cmd_count(cfg)
+            return cmd_count(args)
         if args.command == "poly":
-            return cmd_poly(cfg, args.kind)
+            return cmd_poly(args)
         if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
+            return cmd_verify(args)
         if args.command == "export":
-            return cmd_export(cfg, args.output)
-        return cmd_indices(cfg)
+            return cmd_export(args)
+        return cmd_indices(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -1,2 +1,6 @@
 class SizeLimitError(Exception):
-    """A requested enumeration or graph materialization exceeds its cap."""
+    """A request exceeds a size limit; raised before its memory is allocated.
+
+    The limits are the vertex limit of the string enumeration, the distance
+    sweep limit of the Wiener and Mostar oracles, and an optional bound on n.
+    """

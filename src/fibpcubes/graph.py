@@ -3,7 +3,9 @@
 Vertices are the p-valid strings of length n; two are adjacent when they
 differ in exactly one coordinate.  Adjacency is found by clearing each set
 bit and looking the result up in the vertex index, so construction costs
-O(|V| * n) lookups and never scans vertex pairs.
+O(|V| * n) lookups and never scans vertex pairs.  The vertex limit is
+checked by the enumeration before any vertex exists; ``build`` adds only an
+optional bound on n.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from .errors import SizeLimitError
 from .sequences import pfib
 from .strings import PString, enumerate_pstrings
-
-DEFAULT_GRAPH_CAP = 24
 
 # (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
 Edge = tuple[int, int, int]
@@ -53,11 +53,11 @@ class PCubeGraph:
         return vid
 
 
-def build(p: int, n: int, cap: int = DEFAULT_GRAPH_CAP) -> PCubeGraph:
-    """Materialize the graph for (p, n); refuses n beyond cap."""
-    if n > cap:
+def build(p: int, n: int, cap: int | None = None) -> PCubeGraph:
+    """Materialize the graph for (p, n); refuses n beyond cap, if given."""
+    if cap is not None and n > cap:
         raise SizeLimitError(f"n = {n} exceeds the graph cap {cap}")
-    vertices = enumerate_pstrings(p, n, cap=max(cap, n))
+    vertices = enumerate_pstrings(p, n)
     index = {v.bits: i for i, v in enumerate(vertices)}
     adjacency: list[list[int]] = [[] for _ in vertices]
     edges: list[Edge] = []

@@ -5,13 +5,16 @@ adjacency lists alone, and a closed form in the sequence values.  The
 distance oracles share one sweep that grows every vertex's ball a radius
 at a time as a bitset of vertex ids; ``all_pairs_distances`` is the
 pairwise reference the tests hold them to.  The oracle side never uses the
-direction structure that the closed forms rely on.
+direction structure that the closed forms rely on.  The sweep refuses
+graphs of more than ``SWEEP_LIMIT`` vertices with ``SizeLimitError`` before
+it allocates any ball.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import SizeLimitError
 from .graph import (
     PCubeGraph,
     bfs_distances,
@@ -20,6 +23,10 @@ from .graph import (
 )
 from .sequences import pfib
 from .strings import PString
+
+# Two rows of |V| balls of |V| bits each take about |V|^2 / 4 bytes: 64 MB
+# at this many vertices.
+SWEEP_LIMIT = 1 << 14
 
 
 def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
@@ -35,9 +42,11 @@ def _distance_sums(g: PCubeGraph) -> tuple[list[int], int]:
     vertex at distance d lies outside d balls, so in a connected graph the
     sums are the vertices' distance sums.  Also returns the number of
     ordered pairs left apart when the balls stop growing: 0 exactly when g
-    is connected.  Two rows of |V| balls take about |V|^2 / 4 bytes.
+    is connected.  Refused beyond SWEEP_LIMIT vertices.
     """
     order = g.vertex_count
+    if order > SWEEP_LIMIT:
+        raise SizeLimitError(f"|V| = {order} > {SWEEP_LIMIT}")
     adjacency = g.adjacency
     balls = [1 << v for v in range(order)]
     sums = [0] * order

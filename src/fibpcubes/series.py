@@ -19,6 +19,10 @@ from .strings import max_weight
 
 DEFAULT_ORDER = 20
 
+# verify_cube_count_gf counts cubes exhaustively up to this n; the closed
+# form covers every n up to the order.
+CUBE_ORACLE_MAX_N = 9
+
 
 @dataclass(frozen=True)
 class CoefficientRing:
@@ -213,20 +217,18 @@ def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
     return True
 
 
-def verify_cube_count_gf(
-    p: int, k: int, order: int = DEFAULT_ORDER, graph_cap: int = 10
-) -> bool:
+def verify_cube_count_gf(p: int, k: int, order: int = DEFAULT_ORDER) -> bool:
     """Coefficient check of the fixed-k cube-count generating function.
 
     For k >= 1 the series is t^(kp-p+k) / (1 - t - t^{p+1})^(k+1); its t^n
     coefficient must match the closed-form count for n <= order and the
-    exhaustive count for n <= graph_cap.  For k = 0 the exponent would be
-    negative, so the reciprocal is read shifted by p instead, which must
-    reproduce the vertex counts F^p_{n+p+1}.
+    exhaustive count for n <= min(order, CUBE_ORACLE_MAX_N).  For k = 0 the
+    exponent would be negative, so the reciprocal is read shifted by p
+    instead, which must reproduce the vertex counts F^p_{n+p+1}.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    oracle_limit = min(order, graph_cap)
+    oracle_limit = min(order, CUBE_ORACLE_MAX_N)
     if k == 0:
         reciprocal = gap_denominator(INTS, 1, p, order + p).inverse()
         for n in range(order + 1):

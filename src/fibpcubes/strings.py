@@ -4,6 +4,10 @@ A string is p-valid when every two of its 1s are separated by at least p
 zeros.  Strings are packed into ints with coordinate 1 (the leftmost
 character) at the most significant of the n bits, so on equal lengths
 numeric order coincides with lexicographic order.
+
+Enumeration is where a graph's vertices are allocated, so the vertex limit
+lives here: ``check_vertex_limit`` refuses a length whose string count,
+known in closed form before any string is made, exceeds ``MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from dataclasses import dataclass
 from .errors import SizeLimitError
 from .sequences import binomial
 
-DEFAULT_ENUM_CAP = 30
+# Largest vertex count enumerated: the (0, 18) graph at this size takes about
+# 330 MB to build.
+MAX_VERTICES = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -95,15 +101,30 @@ def _pvalid_bits(p: int, n: int) -> list[int]:
     return levels[n]
 
 
-def enumerate_pstrings(p: int, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[PString]:
+def check_vertex_limit(p: int, n: int) -> None:
+    """Refuse with SizeLimitError when length n has over MAX_VERTICES strings.
+
+    Sums the weight census and stops once the sum passes the limit, so the
+    cost stays small for any p and n; the table of F up to n+p+1 is never
+    filled.
+    """
+    total = 0
+    for w in range(max_weight(p, n) + 1):
+        total += count_by_weight(p, n, w)
+        if total > MAX_VERTICES:
+            raise SizeLimitError(
+                f"p = {p}, n = {n}: |V| = F^{p}_{n + p + 1} exceeds the vertex "
+                f"limit {MAX_VERTICES}"
+            )
+
+
+def enumerate_pstrings(p: int, n: int) -> list[PString]:
     """All p-valid strings of length n in lexicographic order.
 
     The list has pfib(p, n+p+1) entries; n = 0 yields the empty string and
-    p = 0 yields every binary string.
+    p = 0 yields every binary string.  Refused beyond MAX_VERTICES entries.
     """
-    _check_params(p, n)
-    if n > cap:
-        raise SizeLimitError(f"n = {n} exceeds the enumeration cap {cap}")
+    check_vertex_limit(p, n)
     return [PString(n, bits) for bits in _pvalid_bits(p, n)]
 
 

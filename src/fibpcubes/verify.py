@@ -4,18 +4,21 @@ Each suite walks a (p, n) grid, recomputes every identity from both sides,
 and reports one result per identity and parameter p with the first
 counterexample when something disagrees.  A suite is one row of ``SUITES``:
 its check names in report order, and a function that fills the mismatches
-of every check for one (p, n) from a single graph build.
+and notes of every check for one (p, n) from a single graph build.  Size
+limits are enforced where memory is allocated: a graph beyond the vertex
+limit is refused, and a distance oracle beyond the sweep limit leaves a
+note on each check it skipped.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .cubes import cube_census
+from .errors import SizeLimitError
 from .graph import (
-    DEFAULT_GRAPH_CAP,
     PCubeGraph,
     bfs_distances,
     build,
@@ -58,15 +61,12 @@ from .series import (
 )
 from .strings import count_by_weight, max_weight
 
-# The partial-cube certificate's ball sweep holds two rows of |V| bitsets of
-# |V| bits; beyond this many vertices it is skipped and a note says so.
-ALL_PAIRS_LIMIT = 1 << 14
-
 _XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
 _XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
 
-# Check name -> mismatch descriptions, filled for one p across its n grid.
-Mismatches = dict[str, list[str]]
+# Check name -> lines filled for one p across its n grid: the mismatches
+# that fail the check, or the notes on what it left unchecked.
+PerCheck = dict[str, list[str]]
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,14 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, mismatches: list[str], note: str = "") -> CheckResult:
+def _result(name: str, mismatches: list[str], notes: list[str]) -> CheckResult:
     if mismatches:
         return CheckResult(name, False, mismatches[0])
-    return CheckResult(name, True, note)
+    return CheckResult(name, True, "; ".join(notes))
 
 
-def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optional[str]:
-    g = build(p, n, cap=graph_cap)
+def _counts_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
+    g = build(p, n)
     expected_order = pfib(p, n + p + 1)
     if g.vertex_count != expected_order:
         bad["order"].append(
@@ -113,13 +113,10 @@ def _counts_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optional[str]
         if total_edges_closed(p, n) != recursed:
             bad["edge-recursion"].append(f"p={p} n={n}: recursion gives {recursed}")
     bad["structure"].extend(_structure_mismatches(g))
-    if g.vertex_count > ALL_PAIRS_LIMIT:
-        return (
-            f"p={p} n={n}: partial-cube not checked, "
-            f"|V| = {g.vertex_count} > {ALL_PAIRS_LIMIT}"
-        )
-    bad["partial-cube"].extend(_partial_cube_mismatches(g))
-    return None
+    try:
+        bad["partial-cube"].extend(_partial_cube_mismatches(g))
+    except SizeLimitError as exc:
+        notes["partial-cube"].append(f"p={p} n={n}: partial-cube not checked, {exc}")
 
 
 def _structure_mismatches(g: PCubeGraph) -> list[str]:
@@ -154,8 +151,8 @@ def _partial_cube_mismatches(g: PCubeGraph) -> list[str]:
     return []
 
 
-def _cubes_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
-    g = build(p, n, cap=graph_cap)
+def _cubes_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
+    g = build(p, n)
     census = cube_census(g)
     poly = cube_poly_closed(p, n)
     wpoly = weight_poly(p, n)
@@ -195,7 +192,7 @@ def _cubes_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
         daisy.append(f"p={p} n={n}: deg C = {poly.degree()} != {top}")
 
 
-def _gf_at(bad: Mismatches, p: int, order: int, graph_cap: int) -> None:
+def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
     out = bad["identities"]
     denom = gap_denominator(INTS, 1, p, order)
     t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
@@ -226,27 +223,31 @@ def _gf_at(bad: Mismatches, p: int, order: int, graph_cap: int) -> None:
             break
     if not verify_weight_gf_expansion(p, order):
         out.append(f"p={p}: marked-series split/expansion identity fails")
-    oracle_cap = min(graph_cap, 9)
     for k in range(4):
-        if not verify_cube_count_gf(p, k, order, graph_cap=oracle_cap):
+        if not verify_cube_count_gf(p, k, order):
             out.append(f"p={p} k={k}: fixed-k gf mismatch")
 
 
-def _indices_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> None:
-    g = build(p, n, cap=graph_cap)
-    wo, wc = wiener_oracle(g), wiener_closed(p, n)
-    mo, mc = mostar_oracle(g), mostar_closed(p, n)
-    if wo != wc:
-        bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
-    if mo != mc:
-        bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
+def _indices_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
+    g = build(p, n)
+    wc, mc = wiener_closed(p, n), mostar_closed(p, n)
+    try:
+        wo, mo = wiener_oracle(g), mostar_oracle(g)
+    except SizeLimitError as exc:
+        for check in ("wiener", "mostar"):
+            notes[check].append(f"p={p} n={n}: oracle not checked, {exc}")
+    else:
+        if wo != wc:
+            bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
+        if mo != mc:
+            bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
     squares = sum(direction_edge_count_closed(p, n, i) ** 2 for i in range(1, n + 1))
     if wc - mc != squares or squares < 0:
         bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
 
 
-def _irregularity_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optional[str]:
-    g = build(p, n, cap=graph_cap)
+def _irregularity_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
+    g = build(p, n)
     records = imbalance_census(g)
     oracle = irregularity_oracle(g)
     if sum(r.imbalance for r in records) != oracle:
@@ -263,7 +264,10 @@ def _irregularity_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optiona
             break
     bad["neighbour-propositions"].extend(_neighbour_prop_mismatches(g))
     if n < p:
-        return f"p={p} n={n}: theorem not applicable (n < p), oracle-only; irr={oracle}"
+        notes["closed-form"].append(
+            f"p={p} n={n}: theorem not applicable (n < p), oracle-only; irr={oracle}"
+        )
+        return
     closed = irregularity_closed(p, n)
     if closed != oracle:
         bad["closed-form"].append(f"p={p} n={n}: oracle {oracle} closed {closed}")
@@ -276,7 +280,6 @@ def _irregularity_at(bad: Mismatches, p: int, n: int, graph_cap: int) -> Optiona
                 f"p={p} n={n} d={d}: |R|={len(rp)} |L|={len(lp)} expected {expected}"
             )
         bad["projection-bijection"].extend(_projection_mismatches(g, rp, d))
-    return None
 
 
 def _neighbour_prop_mismatches(g: PCubeGraph) -> list[str]:
@@ -329,8 +332,8 @@ def _projection_mismatches(
 
 
 # Suite name -> (check names in report order, per-(p, n) filler), in the
-# order `all` runs them.  The filler may return a note for the first check.
-SUITES: dict[str, tuple[tuple[str, ...], Callable[..., Optional[str]]]] = {
+# order `all` runs them.
+SUITES: dict[str, tuple[tuple[str, ...], Callable[..., None]]] = {
     "cubes": (("counts", "distance-counts", "daisy-identities"), _cubes_at),
     "gf": (("identities",), _gf_at),
     "indices": (("wiener", "mostar", "wiener-mostar-gap"), _indices_at),
@@ -348,64 +351,46 @@ SUITES: dict[str, tuple[tuple[str, ...], Callable[..., Optional[str]]]] = {
 CHOICES = (*SUITES, "all")
 
 
-def _grid(
-    suite: str, ps: Sequence[int], ns: Sequence[int], graph_cap: int
-) -> list[CheckResult]:
+def _grid(suite: str, ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     checks, fill = SUITES[suite]
     results: list[CheckResult] = []
     for p in ps:
-        bad: Mismatches = {check: [] for check in checks}
-        notes = [note for n in ns if (note := fill(bad, p, n, graph_cap))]
-        note = "; ".join(notes)
+        bad: PerCheck = {check: [] for check in checks}
+        notes: PerCheck = {check: [] for check in checks}
+        for n in ns:
+            fill(bad, notes, p, n)
         for check in checks:
-            results.append(_result(f"{suite}/{check} p={p}", bad[check], note))
-            note = ""
+            results.append(_result(f"{suite}/{check} p={p}", bad[check], notes[check]))
     return results
 
 
-def suite_counts(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
+def suite_counts(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Order, size, direction counts, weight census, and structure checks."""
-    return _grid("counts", ps, ns, graph_cap)
+    return _grid("counts", ps, ns)
 
 
-def suite_cubes(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
+def suite_cubes(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Cube counts against every closed form, plus the daisy identities."""
-    return _grid("cubes", ps, ns, graph_cap)
+    return _grid("cubes", ps, ns)
 
 
-def suite_gf(
-    ps: Sequence[int],
-    order: int = DEFAULT_ORDER,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
-) -> list[CheckResult]:
+def suite_gf(ps: Sequence[int], order: int = DEFAULT_ORDER) -> list[CheckResult]:
     """All generating-function identities, coefficient-exact to the order."""
-    return _grid("gf", ps, (order,), graph_cap)
+    return _grid("gf", ps, (order,))
 
 
-def suite_indices(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
+def suite_indices(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Wiener and Mostar closed forms against the ball-sweep oracles."""
-    return _grid("indices", ps, ns, graph_cap)
+    return _grid("indices", ps, ns)
 
 
-def suite_irregularity(
-    ps: Sequence[int], ns: Sequence[int], graph_cap: int = DEFAULT_GRAPH_CAP
-) -> list[CheckResult]:
+def suite_irregularity(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Irregularity closed form, imbalanced-pair sets, and the projection."""
-    return _grid("irregularity", ps, ns, graph_cap)
+    return _grid("irregularity", ps, ns)
 
 
 def run_suite(
-    suite: str,
-    ps: Sequence[int],
-    ns: Sequence[int],
-    order: int = DEFAULT_ORDER,
-    graph_cap: int = DEFAULT_GRAPH_CAP,
+    suite: str, ps: Sequence[int], ns: Sequence[int], order: int = DEFAULT_ORDER
 ) -> list[CheckResult]:
     """Run one named suite, or all of them in table order, over the given grid."""
     if suite not in CHOICES:
@@ -413,5 +398,5 @@ def run_suite(
     results: list[CheckResult] = []
     for name in SUITES if suite == "all" else (suite,):
         # The gf suite walks series orders, not graph sizes.
-        results.extend(_grid(name, ps, (order,) if name == "gf" else ns, graph_cap))
+        results.extend(_grid(name, ps, (order,) if name == "gf" else ns))
     return results

@@ -86,7 +86,7 @@ def test_criterion_3_distance_cube_polynomial():
 
 def test_criterion_4_generating_functions():
     with criterion("4 generating functions to order 20, p in [0,4]", 10.0):
-        results = suite_gf(range(5), order=20, graph_cap=8)
+        results = suite_gf(range(5), order=20)
         assert_all_pass(results, "gf", ("identities",), range(5))
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fibpcubes import cli, verify
+import fibpcubes
+from fibpcubes import cli, invariants
 from fibpcubes.polynomials import BivarPoly, Polynomial, cube_poly_closed
 from fibpcubes.verify import CheckResult
 
@@ -11,6 +17,23 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_limited(*argv):
+    """The CLI in a child process limited to 1.5 GB of address space and 30 s."""
+    src = str(Path(fibpcubes.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    limit = 1_500_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "fibpcubes", *argv], capture_output=True,
+        text=True, env=env, preexec_fn=cap_memory, timeout=30,
+    )
 
 
 class TestCount:
@@ -99,19 +122,37 @@ class TestVerify:
         assert "theorem not applicable (n < p), oracle-only" in out
 
     def test_partial_cube_skip_note(self, monkeypatch, capsys):
-        monkeypatch.setattr(verify, "ALL_PAIRS_LIMIT", 8)
+        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
         code, out, _ = run(capsys, "verify", "counts", "--p", "1", "--n", "3..5")
         assert code == 0
-        assert out.splitlines()[0] == (
-            "PASS counts/order p=1: p=1 n=5: partial-cube not checked, |V| = 13 > 8"
+        lines = out.splitlines()
+        assert lines[0] == "PASS counts/order p=1"
+        assert lines[6] == (
+            "PASS counts/partial-cube p=1: "
+            "p=1 n=5: partial-cube not checked, |V| = 13 > 8"
         )
 
-    def test_quiet_drops_summary(self, capsys):
-        code, out, _ = run(capsys, "verify", "indices", "--p", "1", "--n", "0..3",
-                           "--quiet")
+    def test_oracle_skip_notes(self, monkeypatch, capsys):
+        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        code, out, _ = run(capsys, "verify", "indices", "--p", "1", "--n", "3..6")
         assert code == 0
-        assert "checks passed" not in out
-        assert "PASS" in out
+        skipped = (
+            "p=1 n=5: oracle not checked, |V| = 13 > 8; "
+            "p=1 n=6: oracle not checked, |V| = 21 > 8"
+        )
+        assert out.splitlines() == [
+            f"PASS indices/wiener p=1: {skipped}",
+            f"PASS indices/mostar p=1: {skipped}",
+            "PASS indices/wiener-mostar-gap p=1",
+            "3/3 checks passed",
+        ]
+
+    def test_projection_needs_no_cap(self, capsys):
+        # the projection builds n - 1 .. n - 4, all far below the vertex limit
+        code, out, err = run(capsys, "verify", "irregularity", "--p", "4",
+                             "--n", "26", "--cap", "30")
+        assert code == 0, err
+        assert "FAIL" not in out
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "indices", "--p", "1", "--n", "0..3",
@@ -163,6 +204,31 @@ class TestExport:
         assert code == 3
 
 
+BILLION = "1000000000"
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "argv, predicted",
+        [
+            (("export", "--p", "0", "--n", "24"), "|V| = F^0_25"),
+            (("verify", "all", "--p", "0", "--n", "0..24"), "|V| = F^0_25"),
+            (("export", "--p", BILLION, "--n", BILLION, "--cap", BILLION),
+             "|V| = F^1000000000_2000000001"),
+        ],
+        ids=["export", "verify", "huge-p-and-n"],
+    )
+    def test_oversized_graph_refused_before_allocation(self, argv, predicted):
+        done = run_limited(*argv)
+        assert done.returncode == 3, done.stderr
+        assert f"{predicted} exceeds the vertex limit 262144" in done.stderr
+
+    def test_huge_p_small_n_answers_at_once(self):
+        done = run_limited("export", "--p", BILLION, "--n", "3")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count(";") == 4 + 3
+
+
 class TestIndices:
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "indices", "--p", "1", "--n", "3")
@@ -197,6 +263,14 @@ class TestIndices:
                            "--format", "text")
         assert code == 0
         assert "wiener: closed=16 oracle=16" in out
+
+    def test_beyond_sweep_limit_nulls_distance_oracles(self, monkeypatch, capsys):
+        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        code, out, _ = run(capsys, "indices", "--p", "1", "--n", "5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["wiener"]["oracle"] is None and doc["mostar"]["oracle"] is None
+        assert doc["irregularity"]["oracle"] == doc["irregularity"]["closed"]
 
     def test_answer_beyond_int_str_digit_limit(self, capsys):
         code, out, err = run(capsys, "indices", "--p", "0", "--n", "7200",

@@ -140,8 +140,7 @@ def test_vertex_id_errors(built):
 
 
 def test_cap():
-    with pytest.raises(SizeLimitError):
-        build(2, 25)
+    assert build(2, 25).vertex_count == pfib(2, 28)
     with pytest.raises(SizeLimitError):
         build(2, 5, cap=4)
     assert build(2, 5, cap=5).vertex_count == 9

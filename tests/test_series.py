@@ -170,7 +170,7 @@ class TestIdentityChecks:
         assert verify_cube_count_gf(1, 0, 12)
         for p in range(4):
             for k in range(4):
-                assert verify_cube_count_gf(p, k, 12, graph_cap=7)
+                assert verify_cube_count_gf(p, k, 12)
 
     def test_cube_count_gf_known_coefficient(self):
         # the dimension-1 series counts edges: 5 of them at (p, n) = (1, 3)

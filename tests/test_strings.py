@@ -115,11 +115,13 @@ class TestEnumeration:
             assert strings == sorted(strings)
             assert all(is_pvalid(u, p) for u in strings)
 
-    def test_cap(self):
-        with pytest.raises(SizeLimitError):
+    def test_cap(self, monkeypatch):
+        with pytest.raises(SizeLimitError, match="F\\^1_33"):
             enumerate_pstrings(1, 31)
+        monkeypatch.setattr("fibpcubes.strings.MAX_VERTICES", 13)
+        assert len(enumerate_pstrings(1, 5)) == 13
         with pytest.raises(SizeLimitError):
-            enumerate_pstrings(1, 5, cap=4)
+            enumerate_pstrings(1, 6)
 
 
 class TestWeights:

@@ -23,6 +23,12 @@ def bump_last_coefficient(series):
     "closed_form, bump, check",
     [
         ("total_edges_closed", plus_one, "counts/size"),
+        ("direction_edge_count_closed", plus_one, "counts/directions"),
+        ("count_by_weight", plus_one, "counts/weight-census"),
+        ("weight_poly", plus_one, "cubes/daisy-identities"),
+        ("cube_poly_closed", plus_one, "cubes/counts"),
+        ("dist_cube_poly_closed", plus_one, "cubes/daisy-identities"),
+        ("kfold_convolution", plus_one, "cubes/counts"),
         ("cube_count_closed", plus_one, "cubes/counts"),
         ("dist_cube_count_closed", plus_one, "cubes/distance-counts"),
         ("wiener_closed", plus_one, "indices/wiener"),
