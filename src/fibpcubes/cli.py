@@ -32,11 +32,11 @@ from .invariants import (
     wiener_closed,
     wiener_oracle,
 )
-from .polynomials import cube_poly_closed, dist_cube_poly_closed, weight_poly
+from .polynomials import MARKERS
 from .sequences import pfib
 from .series import DEFAULT_ORDER
 from .strings import check_vertex_limit, count_by_weight, max_weight
-from .verify import CHOICES, run_suite
+from .verify import CHOICES, closed_poly, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     poly = sub.add_parser("poly", help="print one counting polynomial")
-    poly.add_argument("kind", choices=("cube", "weight", "distance"))
+    poly.add_argument("kind", choices=tuple(MARKERS))
     poly.add_argument("--p", type=_nonneg, required=True)
     poly.add_argument("--n", type=_nonneg, required=True)
     poly.add_argument("--format", choices=("text", "json"), default="text")
@@ -177,18 +177,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     p, n, kind = args.p, args.n, args.kind
-    if kind == "cube":
-        poly = cube_poly_closed(p, n)
-    elif kind == "weight":
-        poly = weight_poly(p, n)
-    else:
-        poly = dist_cube_poly_closed(p, n)
+    poly = closed_poly(kind, p, n)
     if args.format == "json":
-        doc: dict = {"p": str(p), "n": str(n), "kind": kind}
-        if kind == "distance":
-            doc["terms"] = poly.to_json()
-        else:
-            doc.update(poly.to_json())
+        doc = {"p": str(p), "n": str(n), "kind": kind, **poly.to_json()}
         print(json.dumps(doc, indent=2))
     else:
         print(poly.render())

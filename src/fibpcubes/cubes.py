@@ -4,7 +4,9 @@ An induced k-cube is identified by its top vertex together with the k
 support coordinates lowered from it.  Enumeration checks every one of the
 2^k member strings against the vertex index; it deliberately does not
 assume that lowering a 1 preserves validity, since that is part of what
-the closed forms under test assert.
+the closed forms under test assert.  The census tries every support of
+every top, sum over the vertices of 2^weight, and refuses a graph where
+that sum exceeds ``CENSUS_LIMIT`` before it tries any.
 """
 
 from __future__ import annotations
@@ -12,8 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import SizeLimitError
 from .graph import PCubeGraph
 from .strings import PString
+
+# Most supports the census tries: 3^n at p = 0, so it admits n = 13 and
+# refuses n = 14 there.
+CENSUS_LIMIT = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,15 @@ def cube_census(g: PCubeGraph) -> dict[tuple[int, int], int]:
     """Counts of induced cubes keyed by (dimension, bottom weight).
 
     One exhaustive pass over all tops and supports; the bottom weight of a
-    k-cube with top of weight w is w - k.
+    k-cube with top of weight w is w - k.  Refused beyond CENSUS_LIMIT
+    supports.
     """
+    supports = sum(1 << top.weight for top in g.vertices)
+    if supports > CENSUS_LIMIT:
+        raise SizeLimitError(
+            f"p = {g.p}, n = {g.n}: {supports} cube supports exceed the census "
+            f"limit {CENSUS_LIMIT}"
+        )
     census: dict[tuple[int, int], int] = {}
     n = g.n
     for top in g.vertices:

@@ -41,9 +41,6 @@ class PCubeGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def vertex_id(self, u: PString) -> int:
         if u.n != self.n:
             raise ValueError(f"vertex length {u.n} does not match n = {self.n}")

@@ -34,6 +34,12 @@ def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
     return [bfs_distances(g, s) for s in range(g.vertex_count)]
 
 
+def check_sweep_limit(order: int) -> None:
+    """Refuse with SizeLimitError a sweep over more than SWEEP_LIMIT vertices."""
+    if order > SWEEP_LIMIT:
+        raise SizeLimitError(f"|V| = {order} > {SWEEP_LIMIT}")
+
+
 def _distance_sums(g: PCubeGraph) -> tuple[list[int], int]:
     """Per vertex v, the sum over radii r of the vertices outside ball_r(v).
 
@@ -45,8 +51,7 @@ def _distance_sums(g: PCubeGraph) -> tuple[list[int], int]:
     is connected.  Refused beyond SWEEP_LIMIT vertices.
     """
     order = g.vertex_count
-    if order > SWEEP_LIMIT:
-        raise SizeLimitError(f"|V| = {order} > {SWEEP_LIMIT}")
+    check_sweep_limit(order)
     adjacency = g.adjacency
     balls = [1 << v for v in range(order)]
     sums = [0] * order

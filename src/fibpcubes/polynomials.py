@@ -64,9 +64,6 @@ class Polynomial:
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: object) -> "Polynomial":
         rhs = _as_poly(other)
         if rhs is None:
@@ -125,21 +122,6 @@ class Polynomial:
             acc = acc * value + c
         return acc
 
-    def shift_x(self, c: int) -> "Polynomial":
-        """Exact composition with x -> x + c."""
-        base = Polynomial((c, 1))
-        acc = Polynomial.zero()
-        for coefficient in reversed(self.coeffs):
-            acc = acc * base + Polynomial.const(coefficient)
-        return acc
-
-    def compose_bivar(self, image: "BivarPoly") -> "BivarPoly":
-        """Exact composition substituting the bivariate image for x."""
-        acc = BivarPoly.zero()
-        for coefficient in reversed(self.coeffs):
-            acc = acc * image + BivarPoly.const(coefficient)
-        return acc
-
     def render(self, var: str = "x") -> str:
         """Canonical ascending-degree text, e.g. ``5 + 5*x + x^2``."""
         return _format_terms(
@@ -149,10 +131,6 @@ class Polynomial:
     def to_json(self) -> dict:
         """Ascending coefficients, serialized as decimal strings."""
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(doc: Mapping) -> "Polynomial":
-        return Polynomial.from_coeffs(int(c) for c in doc["coeffs"])
 
 
 def _power_text(var: str, k: int) -> str:
@@ -228,9 +206,6 @@ class BivarPoly:
                 return c
         return 0
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _binary(self, other: object) -> "BivarPoly | None":
         if isinstance(other, BivarPoly):
             return other
@@ -285,20 +260,9 @@ class BivarPoly:
             out = out * self
         return out
 
-    def __call__(self, x: int, q: int) -> int:
-        return sum(c * x**k * q**d for k, d, c in self.terms)
-
     def swap(self) -> "BivarPoly":
         """Exchange the roles of x and q."""
         return BivarPoly.from_dict({(d, k): c for k, d, c in self.terms})
-
-    def subst_q(self, value: int) -> Polynomial:
-        """Set q to an integer, leaving a univariate polynomial in x."""
-        acc: dict[int, int] = {}
-        for k, d, c in self.terms:
-            acc[k] = acc.get(k, 0) + c * value**d
-        size = max(acc, default=-1) + 1
-        return Polynomial.from_coeffs(acc.get(k, 0) for k in range(size))
 
     def render(self) -> str:
         """Canonical text ordered by total degree, e.g. ``1 + 3*q + 3*x``."""
@@ -313,41 +277,60 @@ class BivarPoly:
             terms.append((c, mono))
         return _format_terms(terms)
 
-    def to_json(self) -> list[dict]:
+    def to_json(self) -> dict:
         """Terms as {k, d, value} rows, every number a decimal string."""
-        return [
-            {"k": str(k), "d": str(d), "value": str(c)} for k, d, c in self.terms
-        ]
+        return {
+            "terms": [
+                {"k": str(k), "d": str(d), "value": str(c)} for k, d, c in self.terms
+            ]
+        }
 
-    @staticmethod
-    def from_json(rows: Iterable[Mapping]) -> "BivarPoly":
-        return BivarPoly.from_dict(
-            {(int(row["k"]), int(row["d"])): int(row["value"]) for row in rows}
-        )
+
+# The marker on each 1 of a p-valid string, by kind, in report order.  The
+# weight enumerator W marks a 1 by x; a 1 of a cube's top is either lowered
+# into the cube's support or kept, so the cube polynomial is C = W(1 + x),
+# and marking the kept 1s by q, the bottom's distance from the origin, gives
+# the distance refinement D = W(x + q).
+MARKERS: dict[str, Union[Polynomial, BivarPoly]] = {
+    "cube": Polynomial((1, 1)),
+    "weight": Polynomial.x(),
+    "distance": BivarPoly.from_dict({(1, 0): 1, (0, 1): 1}),
+}
 
 
 def substitute(
     f: Polynomial, shift: Union[int, BivarPoly]
 ) -> Union[Polynomial, BivarPoly]:
-    """Compose f with x -> x + c for an int shift, or x -> g for a bivariate g."""
-    if isinstance(shift, BivarPoly):
-        return f.compose_bivar(shift)
-    return f.shift_x(shift)
+    """Compose f with x -> x + c for an int shift, or x -> g for a bivariate g.
+
+    Horner's rule in the image's ring, exact for either kind of image.
+    """
+    image = shift if isinstance(shift, BivarPoly) else Polynomial((shift, 1))
+    acc = type(image).zero()
+    for coefficient in reversed(f.coeffs):
+        acc = acc * image + coefficient
+    return acc
+
+
+def _marked_expansion(
+    p: int, n: int, marker: Union[Polynomial, BivarPoly]
+) -> Union[Polynomial, BivarPoly]:
+    """The sum over weights a of binom(n - a*p + p, a) * marker^a.
+
+    Expansion is by iterated multiplication on purpose: the binomial double
+    sums in cube_count_closed and dist_cube_count_closed are an independent
+    route to the same numbers.
+    """
+    acc, power = type(marker).zero(), type(marker).one()
+    for a in range(max_weight(p, n) + 1):
+        acc = acc + binomial(n - a * p + p, a) * power
+        power = power * marker
+    return acc
 
 
 def cube_poly_closed(p: int, n: int) -> Polynomial:
-    """Induced-cube counting polynomial, via the (1+x)^a expansion.
-
-    Expansion is by iterated multiplication on purpose: the binomial double
-    sum in cube_count_closed is an independent route to the same numbers.
-    """
-    acc = Polynomial.zero()
-    power = Polynomial.one()
-    base = Polynomial((1, 1))
-    for a in range(max_weight(p, n) + 1):
-        acc = acc + binomial(n - a * p + p, a) * power
-        power = power * base
-    return acc
+    """Induced-cube counting polynomial, x marking the dimension."""
+    return _marked_expansion(p, n, MARKERS["cube"])
 
 
 def cube_count_closed(p: int, n: int, k: int) -> int:
@@ -369,13 +352,7 @@ def weight_poly(p: int, n: int) -> Polynomial:
 
 def dist_cube_poly_closed(p: int, n: int) -> BivarPoly:
     """Bivariate cube counts, x marking dimension and q bottom distance."""
-    acc = BivarPoly.zero()
-    power = BivarPoly.one()
-    base = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
-    for a in range(max_weight(p, n) + 1):
-        acc = acc + binomial(n - a * p + p, a) * power
-        power = power * base
-    return acc
+    return _marked_expansion(p, n, MARKERS["distance"])
 
 
 def dist_cube_count_closed(p: int, n: int, k: int, d: int) -> int:

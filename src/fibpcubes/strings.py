@@ -63,9 +63,6 @@ class PString:
         """The coordinates carrying a 1, ascending and 1-based."""
         return tuple(i for i in range(1, self.n + 1) if (self.bits >> (self.n - i)) & 1)
 
-    def concat(self, other: "PString") -> "PString":
-        return PString(self.n + other.n, (self.bits << other.n) | other.bits)
-
     def _check_coord(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate {i} outside [1, {self.n}]")

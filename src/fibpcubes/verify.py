@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence
 
 from .cubes import cube_census
@@ -27,6 +28,7 @@ from .graph import (
     total_edges_closed,
 )
 from .invariants import (
+    check_sweep_limit,
     imbalance_census,
     irregularity_closed,
     irregularity_oracle,
@@ -40,7 +42,9 @@ from .invariants import (
     wiener_oracle,
 )
 from .polynomials import (
+    MARKERS,
     BivarPoly,
+    Polynomial,
     cube_count_closed,
     cube_poly_closed,
     dist_cube_count_closed,
@@ -60,9 +64,6 @@ from .series import (
     verify_weight_gf_expansion,
 )
 from .strings import count_by_weight, max_weight
-
-_XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
-_XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
 
 # Check name -> lines filled for one p across its n grid: the mismatches
 # that fail the check, or the notes on what it left unchecked.
@@ -178,11 +179,12 @@ def _cubes_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
                     f"p={p} n={n} k={k} d={d}: oracle={oracle} closed={closed}"
                 )
     daisy = bad["daisy-identities"]
-    if dpoly != substitute(wpoly, _XQ):
+    xq = MARKERS["distance"]
+    if dpoly != substitute(wpoly, xq):
         daisy.append(f"p={p} n={n}: D != W(x+q)")
     if poly != substitute(wpoly, 1):
         daisy.append(f"p={p} n={n}: C != W(x+1)")
-    if dpoly != substitute(poly, _XQ_MINUS_1):
+    if dpoly != substitute(poly, xq - 1):
         daisy.append(f"p={p} n={n}: D != C(x+q-1)")
     if dpoly != dpoly.swap():
         daisy.append(f"p={p} n={n}: D(x,q) != D(q,x)")
@@ -192,51 +194,52 @@ def _cubes_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
         daisy.append(f"p={p} n={n}: deg C = {poly.degree()} != {top}")
 
 
+def closed_poly(kind: str, p: int, n: int) -> Polynomial | BivarPoly:
+    """The (p, n) polynomial of one MARKERS kind, from its closed form.
+
+    Looked up in this module per call, so a rebound closed form is the one
+    checked.
+    """
+    closed = {
+        "cube": cube_poly_closed,
+        "weight": weight_poly,
+        "distance": dist_cube_poly_closed,
+    }
+    return closed[kind](p, n)
+
+
 def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
     out = bad["identities"]
     denom = gap_denominator(INTS, 1, p, order)
     t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
     if pfib_series(p, order) * denom != t_series:
         out.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
-    cube_gf = rational_gf(p, "cube", order)
-    weight_gf = rational_gf(p, "weight", order)
-    distance_gf = rational_gf(p, "distance", order)
-    for n in range(order + 1):
-        if cube_gf.coeff(n) != cube_poly_closed(p, n):
+    gfs = {kind: rational_gf(p, kind, order) for kind in MARKERS}
+    for n, (kind, gf) in product(range(order + 1), gfs.items()):
+        closed = closed_poly(kind, p, n)
+        if gf.coeff(n) != closed:
             out.append(
-                f"p={p} n={n}: cube gf gives {cube_gf.coeff(n).render()}, "
-                f"closed form {cube_poly_closed(p, n).render()}"
-            )
-            break
-        if weight_gf.coeff(n) != weight_poly(p, n):
-            out.append(
-                f"p={p} n={n}: weight gf gives {weight_gf.coeff(n).render()}, "
-                f"closed form {weight_poly(p, n).render()}"
-            )
-            break
-        if distance_gf.coeff(n) != dist_cube_poly_closed(p, n):
-            out.append(
-                f"p={p} n={n}: distance gf gives "
-                f"{distance_gf.coeff(n).render()}, "
-                f"closed form {dist_cube_poly_closed(p, n).render()}"
+                f"p={p} n={n}: {kind} gf gives {gf.coeff(n).render()}, "
+                f"closed form {closed.render()}"
             )
             break
     if not verify_weight_gf_expansion(p, order):
-        out.append(f"p={p}: marked-series split/expansion identity fails")
+        out.append(f"p={p}: marked-series split identity fails")
     for k in range(4):
         if not verify_cube_count_gf(p, k, order):
             out.append(f"p={p} k={k}: fixed-k gf mismatch")
 
 
 def _indices_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
-    g = build(p, n)
     wc, mc = wiener_closed(p, n), mostar_closed(p, n)
-    try:
-        wo, mo = wiener_oracle(g), mostar_oracle(g)
+    try:  # the graph serves only the distance oracles: skip it with them
+        check_sweep_limit(pfib(p, n + p + 1))
     except SizeLimitError as exc:
         for check in ("wiener", "mostar"):
             notes[check].append(f"p={p} n={n}: oracle not checked, {exc}")
     else:
+        g = build(p, n)
+        wo, mo = wiener_oracle(g), mostar_oracle(g)
         if wo != wc:
             bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
         if mo != mc:

@@ -8,8 +8,13 @@ from pathlib import Path
 import pytest
 
 import fibpcubes
-from fibpcubes import cli, invariants
-from fibpcubes.polynomials import BivarPoly, Polynomial, cube_poly_closed
+from fibpcubes import cli, invariants, verify
+from fibpcubes.polynomials import (
+    BivarPoly,
+    Polynomial,
+    cube_poly_closed,
+    dist_cube_poly_closed,
+)
 from fibpcubes.verify import CheckResult
 
 
@@ -92,13 +97,19 @@ class TestPoly:
                            "--format", "json")
         assert code == 0
         doc = json.loads(out)
-        assert Polynomial.from_json(doc) == cube_poly_closed(1, 3)
+        assert list(doc) == ["p", "n", "kind", "coeffs"]
+        parsed = Polynomial.from_coeffs(int(c) for c in doc["coeffs"])
+        assert parsed == cube_poly_closed(1, 3)
 
     def test_distance_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "poly", "distance", "--p", "2", "--n", "4",
                            "--format", "json")
         doc = json.loads(out)
-        parsed = BivarPoly.from_json(doc["terms"])
+        assert list(doc) == ["p", "n", "kind", "terms"]
+        parsed = BivarPoly.from_dict(
+            {(int(r["k"]), int(r["d"])): int(r["value"]) for r in doc["terms"]}
+        )
+        assert parsed == dist_cube_poly_closed(2, 4)
         assert parsed.coeff(1, 1) == 2
 
 
@@ -134,8 +145,17 @@ class TestVerify:
 
     def test_oracle_skip_notes(self, monkeypatch, capsys):
         monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        built = []
+        build = verify.build
+
+        def recording_build(p, n):
+            built.append(n)
+            return build(p, n)
+
+        monkeypatch.setattr(verify, "build", recording_build)
         code, out, _ = run(capsys, "verify", "indices", "--p", "1", "--n", "3..6")
         assert code == 0
+        assert built == [3, 4]  # no graph is built for the skipped oracles
         skipped = (
             "p=1 n=5: oracle not checked, |V| = 13 > 8; "
             "p=1 n=6: oracle not checked, |V| = 21 > 8"
@@ -222,6 +242,17 @@ class TestSizeLimits:
         done = run_limited(*argv)
         assert done.returncode == 3, done.stderr
         assert f"{predicted} exceeds the vertex limit 262144" in done.stderr
+
+    @pytest.mark.parametrize(
+        "p, n, supports", [("0", "14", 3**14), ("1", "24", 22369621)]
+    )
+    def test_oversized_cube_census_refused(self, p, n, supports):
+        done = run_limited("verify", "cubes", "--p", p, "--n", n)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (
+            f"error: p = {p}, n = {n}: {supports} cube supports exceed the "
+            "census limit 2097152\n"
+        )
 
     def test_huge_p_small_n_answers_at_once(self):
         done = run_limited("export", "--p", BILLION, "--n", "3")

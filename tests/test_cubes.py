@@ -1,6 +1,13 @@
 import pytest
 
-from fibpcubes.cubes import InducedCube, count_cubes_at_distance, enumerate_cubes
+from fibpcubes import cubes
+from fibpcubes.cubes import (
+    InducedCube,
+    count_cubes_at_distance,
+    cube_census,
+    enumerate_cubes,
+)
+from fibpcubes.errors import SizeLimitError
 from fibpcubes.polynomials import (
     cube_count_closed,
     cube_poly_closed,
@@ -130,3 +137,12 @@ def test_induced_cube_value_type():
     )
     assert cube.k == 2
     assert {m.to01() for m in cube.members()} == {"000", "001", "100", "101"}
+
+
+def test_census_limit_counts_supports(monkeypatch, built):
+    # at p = 0 the census tries 3^n supports
+    assert cubes.CENSUS_LIMIT >= 3**13
+    monkeypatch.setattr(cubes, "CENSUS_LIMIT", 3**4)
+    assert sum(cube_census(built(0, 4)).values()) == 3**4
+    with pytest.raises(SizeLimitError, match="243 cube supports exceed the census"):
+        cube_census(built(0, 5))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fibpcubes import cli
 from fibpcubes.errors import SizeLimitError
 from fibpcubes.graph import (
     bfs_distances,
@@ -139,11 +140,13 @@ def test_vertex_id_errors(built):
         g.vertex_id(PString.from01("011"))
 
 
-def test_cap():
+def test_cap(capsys):
     assert build(2, 25).vertex_count == pfib(2, 28)
     with pytest.raises(SizeLimitError):
         build(2, 5, cap=4)
     assert build(2, 5, cap=5).vertex_count == 9
+    assert cli.main(["export", "--p", "2", "--n", "5", "--cap", "4"]) == 3
+    assert capsys.readouterr().err == "error: n = 5 exceeds the graph cap 4\n"
 
 
 def test_dot_export(built):

@@ -47,9 +47,6 @@ class TestPString:
         assert PString.from01("100").flip(3).to01() == "101"
         assert PString.from01("101").flip(1).to01() == "001"
 
-    def test_concat(self):
-        assert PString.from01("10").concat(PString.from01("01")).to01() == "1001"
-
     def test_ordering_is_lexicographic(self):
         texts = ["0011", "1100", "0000", "0101"]
         strings = sorted(PString.from01(t) for t in texts)

@@ -19,6 +19,12 @@ def bump_last_coefficient(series):
     return TruncatedSeries(series.ring, coeffs)
 
 
+def bump_first_coefficient(series):
+    # the last one would not do for the denominator: it meets F_0 = 0
+    coeffs = (series.coeffs[0] + series.ring.one,) + series.coeffs[1:]
+    return TruncatedSeries(series.ring, coeffs)
+
+
 @pytest.mark.parametrize(
     "closed_form, bump, check",
     [
@@ -35,6 +41,12 @@ def bump_last_coefficient(series):
         ("mostar_closed", plus_one, "indices/mostar"),
         ("irregularity_closed", plus_one, "irregularity/closed-form"),
         ("rational_gf", bump_last_coefficient, "gf/identities"),
+        ("cube_poly_closed", plus_one, "gf/identities"),
+        ("weight_poly", plus_one, "gf/identities"),
+        ("dist_cube_poly_closed", plus_one, "gf/identities"),
+        ("pfib", plus_one, "counts/order"),
+        ("pfib_series", bump_last_coefficient, "gf/identities"),
+        ("gap_denominator", bump_first_coefficient, "gf/identities"),
     ],
 )
 def test_broken_closed_form_fails_its_check(
