@@ -2,9 +2,10 @@
 
 Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 size
 limit exceeded.  The only bound on n is the ``--cap`` option of the
-commands that build graphs; the vertex and distance-sweep limits belong to
-the modules that allocate the memory.  JSON payloads carry every number as
-a decimal string so that 64-bit consumers cannot silently overflow.
+commands that build graphs; the vertex, cube-census and distance-sweep
+limits belong to the modules that allocate the memory.  JSON payloads
+carry every number as a decimal string so that 64-bit consumers cannot
+silently overflow.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 import sys
 
+from .cubes import check_census_limit
 from .errors import SizeLimitError
 from .graph import (
     build,
@@ -193,6 +195,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The grid's largest graph has the smallest p; gf builds only n <= 9.
     if args.suite != "gf":
         check_vertex_limit(args.p[0], n_max)
+    # Supports shrink as p grows, so the first n refused at the smallest p
+    # is the first census the cubes suite would refuse.
+    if args.suite in ("cubes", "all"):
+        for n in _values(args.n):
+            check_census_limit(args.p[0], n)
     results = run_suite(args.suite, _values(args.p), _values(args.n), order=args.order)
     failed = [r for r in results if not r.passed]
     if args.format == "json":

@@ -1,24 +1,28 @@
-"""Exhaustive enumeration of induced hypercubes, the counting oracle.
+"""The induced hypercubes of a graph, found by one walk over supports.
 
 An induced k-cube is identified by its top vertex together with the k
-support coordinates lowered from it.  Enumeration checks every one of the
-2^k member strings against the vertex index; it deliberately does not
-assume that lowering a 1 preserves validity, since that is part of what
-the closed forms under test assert.  The census tries every support of
-every top, sum over the vertices of 2^weight, and refuses a graph where
-that sum exceeds ``CENSUS_LIMIT`` before it tries any.
+support coordinates lowered from it.  The walk keeps, for each support S,
+the bitset of vertex ids that top an induced cube on S, and grows S only by
+a coordinate i below its smallest one: a top of S ∪ {i} is a top of S that
+is the upper endpoint of a direction-i edge whose lower endpoint also tops
+S.  Every cube is thus two present smaller cubes joined by real edges.  The
+edge lists give each direction's id offset between endpoints; the walk
+reads them, and refuses a direction whose edges disagree, rather than
+assume the offsets the closed forms imply.  The census counts Σ_v
+2^weight(v) supports, known from the weight census before any graph
+exists, and refuses a length where that exceeds ``CENSUS_LIMIT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Iterator
 
 from .errors import SizeLimitError
 from .graph import PCubeGraph
-from .strings import PString
+from .strings import PString, count_by_weight, max_weight
 
-# Most supports the census tries: 3^n at p = 0, so it admits n = 13 and
+# Most supports the census counts: 3^n at p = 0, so it admits n = 13 and
 # refuses n = 14 there.
 CENSUS_LIMIT = 1 << 21
 
@@ -35,31 +39,48 @@ class InducedCube:
     def k(self) -> int:
         return len(self.support)
 
-    def members(self) -> list[PString]:
-        """All 2^k vertices of the subcube, bottom first."""
-        n = self.top.n
-        masks = [1 << (n - i) for i in self.support]
-        out = []
-        for pick in range(1 << len(masks)):
-            bits = self.bottom.bits
-            for j, mask in enumerate(masks):
-                if (pick >> j) & 1:
-                    bits |= mask
-            out.append(PString(n, bits))
-        return out
+
+def check_census_limit(p: int, n: int) -> None:
+    """Refuse with SizeLimitError when length n has over CENSUS_LIMIT supports.
+
+    The supports are Σ_a count_by_weight(p, n, a) * 2^a, one per subset of
+    each vertex's 1s.  Callers check the vertex limit first, which bounds
+    the number of weights summed.
+    """
+    supports = sum(count_by_weight(p, n, a) << a for a in range(max_weight(p, n) + 1))
+    if supports > CENSUS_LIMIT:
+        raise SizeLimitError(
+            f"p = {p}, n = {n}: {supports} cube supports exceed the census "
+            f"limit {CENSUS_LIMIT}"
+        )
 
 
-def _all_members_present(g: PCubeGraph, bottom: int, mask: int) -> bool:
-    # Walk every submask of the support, short-circuiting on a miss; the
-    # vertex index doubles as the validity check.
-    index = g.index
-    sub = mask
-    while True:
-        if (bottom | sub) not in index:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & mask
+def _induced_tops(g: PCubeGraph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (support, tops) for every support that spans an induced cube.
+
+    tops is the bitset of the vertex ids that top such a cube; supports are
+    ascending and 1-based.  The walk is depth-first and keeps only the
+    supports it has yet to grow.
+    """
+    shifts = []  # (direction, bitset of lower endpoints, id offset)
+    for i in range(1, g.n + 1):
+        edges = g.edges_by_direction[i]
+        offsets = {hi - lo for lo, hi, _ in edges}
+        if len(offsets) > 1:
+            raise ValueError(f"direction {i} edges have id offsets {sorted(offsets)}")
+        if edges:
+            shifts.append((i, sum(1 << lo for lo, _, _ in edges), offsets.pop()))
+    stack: list[tuple[tuple[int, ...], int]] = [((), (1 << g.vertex_count) - 1)]
+    while stack:
+        support, tops = stack.pop()
+        yield support, tops
+        smallest = support[0] if support else g.n + 1
+        for i, lows, offset in shifts:
+            if i >= smallest:
+                break
+            grown = tops & ((tops & lows) << offset)
+            if grown:
+                stack.append(((i, *support), grown))
 
 
 def enumerate_cubes(g: PCubeGraph, k: int) -> list[InducedCube]:
@@ -68,17 +89,15 @@ def enumerate_cubes(g: PCubeGraph, k: int) -> list[InducedCube]:
         raise ValueError(f"k must be non-negative, got {k}")
     n = g.n
     found: list[InducedCube] = []
-    for top in g.vertices:
-        ones = top.ones()
-        if len(ones) < k:
+    for support, tops in _induced_tops(g):
+        if len(support) != k:
             continue
-        for support in combinations(ones, k):
-            mask = 0
-            for i in support:
-                mask |= 1 << (n - i)
-            bottom = top.bits ^ mask
-            if _all_members_present(g, bottom, mask):
-                found.append(InducedCube(top, PString(n, bottom), support))
+        mask = sum(1 << (n - i) for i in support)
+        while tops:
+            low = tops & -tops
+            tops ^= low
+            top = g.vertices[low.bit_length() - 1]
+            found.append(InducedCube(top, PString(n, top.bits ^ mask), support))
     found.sort(key=lambda c: (c.top.bits, c.support))
     return found
 
@@ -89,36 +108,24 @@ def count_cubes_at_distance(g: PCubeGraph, k: int, d: int) -> int:
     The all-zero string is a vertex and graph distance equals Hamming
     distance here, so weight is distance to it.
     """
-    if d < 0:
-        return 0
-    return sum(1 for cube in enumerate_cubes(g, k) if cube.bottom.weight == d)
+    return cube_census(g).get((k, d), 0)
 
 
 def cube_census(g: PCubeGraph) -> dict[tuple[int, int], int]:
     """Counts of induced cubes keyed by (dimension, bottom weight).
 
-    One exhaustive pass over all tops and supports; the bottom weight of a
-    k-cube with top of weight w is w - k.  Refused beyond CENSUS_LIMIT
-    supports.
+    One walk over all supports; the bottom weight of a k-cube with top of
+    weight w is w - k.  Refused beyond CENSUS_LIMIT supports.
     """
-    supports = sum(1 << top.weight for top in g.vertices)
-    if supports > CENSUS_LIMIT:
-        raise SizeLimitError(
-            f"p = {g.p}, n = {g.n}: {supports} cube supports exceed the census "
-            f"limit {CENSUS_LIMIT}"
-        )
+    check_census_limit(g.p, g.n)
+    by_weight = [0] * (max(v.weight for v in g.vertices) + 1)
+    for vid, v in enumerate(g.vertices):
+        by_weight[v.weight] |= 1 << vid
     census: dict[tuple[int, int], int] = {}
-    n = g.n
-    for top in g.vertices:
-        ones = top.ones()
-        w = len(ones)
-        for k in range(w + 1):
-            for support in combinations(ones, k):
-                mask = 0
-                for i in support:
-                    mask |= 1 << (n - i)
-                bottom = top.bits ^ mask
-                if _all_members_present(g, bottom, mask):
-                    key = (k, w - k)
-                    census[key] = census.get(key, 0) + 1
+    for support, tops in _induced_tops(g):
+        k = len(support)
+        for w in range(k, len(by_weight)):
+            found = (tops & by_weight[w]).bit_count()
+            if found:
+                census[(k, w - k)] = census.get((k, w - k), 0) + found
     return census

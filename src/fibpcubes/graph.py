@@ -41,14 +41,6 @@ class PCubeGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertex_id(self, u: PString) -> int:
-        if u.n != self.n:
-            raise ValueError(f"vertex length {u.n} does not match n = {self.n}")
-        vid = self.index.get(u.bits)
-        if vid is None:
-            raise ValueError(f"{u!r} is not a vertex of this graph")
-        return vid
-
 
 def build(p: int, n: int, cap: int | None = None) -> PCubeGraph:
     """Materialize the graph for (p, n); refuses n beyond cap, if given."""

@@ -192,14 +192,6 @@ class BivarPoly:
     def one() -> "BivarPoly":
         return BivarPoly(((0, 0, 1),))
 
-    @staticmethod
-    def x() -> "BivarPoly":
-        return BivarPoly(((1, 0, 1),))
-
-    @staticmethod
-    def q() -> "BivarPoly":
-        return BivarPoly(((0, 1, 1),))
-
     def coeff(self, k: int, d: int) -> int:
         for xk, qd, c in self.terms:
             if xk == k and qd == d:

@@ -63,7 +63,7 @@ from .series import (
     verify_cube_count_gf,
     verify_weight_gf_expansion,
 )
-from .strings import count_by_weight, max_weight
+from .strings import count_by_weight, is_pvalid, max_weight
 
 # Check name -> lines filled for one p across its n grid: the mismatches
 # that fail the check, or the notes on what it left unchecked.
@@ -125,6 +125,12 @@ def _structure_mismatches(g: PCubeGraph) -> list[str]:
     tag = f"p={g.p} n={g.n}"
     if sum(len(nbrs) for nbrs in g.adjacency) != 2 * g.edge_count:
         out.append(f"{tag}: degree sum != 2|E|")
+    # In string order each direction has one id offset, which the census reads.
+    if not all(is_pvalid(v, g.p) for v in g.vertices):
+        out.append(f"{tag}: a vertex is not {g.p}-valid")
+    bits = [v.bits for v in g.vertices]
+    if any(a >= b for a, b in zip(bits, bits[1:])):
+        out.append(f"{tag}: vertex ids do not follow string order")
     for lo, hi, i in g.edges:
         lo_bits, mask = g.vertices[lo].bits, 1 << (g.n - i)
         if lo_bits & mask or g.vertices[hi].bits != lo_bits | mask:

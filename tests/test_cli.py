@@ -167,6 +167,24 @@ class TestVerify:
             "3/3 checks passed",
         ]
 
+    @pytest.mark.parametrize(
+        "suite, p, n, refused",
+        [("cubes", "1", "24", "p = 1, n = 24: 22369621"),
+         ("all", "0", "0..14", "p = 0, n = 14: 4782969")],
+    )
+    def test_census_refused_before_any_build(
+        self, monkeypatch, capsys, suite, p, n, refused
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(verify, "build", no_build)
+        code, out, err = run(capsys, "verify", suite, "--p", p, "--n", n)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: {refused} cube supports exceed the census limit 2097152\n"
+        )
+
     def test_projection_needs_no_cap(self, capsys):
         # the projection builds n - 1 .. n - 4, all far below the vertex limit
         code, out, err = run(capsys, "verify", "irregularity", "--p", "4",

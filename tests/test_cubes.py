@@ -62,17 +62,22 @@ def test_members_and_invariants(built):
         g = built(p, n)
         for k in range(max_weight(p, n) + 1):
             for cube in enumerate_cubes(g, k):
-                members = cube.members()
+                mask = cube.top.bits ^ cube.bottom.bits
+                members = [
+                    PString(n, cube.bottom.bits | sub)
+                    for sub in range(mask + 1)
+                    if sub & mask == sub
+                ]
                 assert len(members) == 2**cube.k
                 assert all(is_pvalid(m, p) for m in members)
-                assert (cube.top.bits ^ cube.bottom.bits).bit_count() == cube.k
+                assert mask.bit_count() == cube.k
                 assert cube.support == tuple(
                     i
                     for i in range(1, n + 1)
                     if cube.top.bit(i) == 1 and cube.bottom.bit(i) == 0
                 )
                 # the member set induces a k-dimensional hypercube
-                ids = {g.vertex_id(m) for m in members}
+                ids = {g.index[m.bits] for m in members}
                 internal = sum(
                     1
                     for v in ids
@@ -102,6 +107,21 @@ def test_census_agrees_with_enumeration(built, census):
         for k in range(max_weight(p, n) + 1):
             by_enum = enumerate_cubes(g, k)
             assert sum(v for (kk, _), v in table.items() if kk == k) == len(by_enum)
+
+
+def test_census_matches_reference(built, reference_census):
+    for p in range(5):
+        for n in range(11):
+            g = built(p, n)
+            assert cube_census(g) == reference_census(g)
+
+
+def test_walk_refuses_ids_out_of_string_order(built, swap_vertices):
+    # 000001 and 000010 swap ids: the edges at them leave their direction's
+    # common id offset
+    g = swap_vertices(built(1, 6), 1, 2)
+    with pytest.raises(ValueError, match="edges have id offsets"):
+        cube_census(g)
 
 
 def test_distance_counts(built):
@@ -136,7 +156,7 @@ def test_induced_cube_value_type():
         PString.from01("101"), PString.from01("000"), (1, 3)
     )
     assert cube.k == 2
-    assert {m.to01() for m in cube.members()} == {"000", "001", "100", "101"}
+    assert {cube, InducedCube(PString(3, 5), PString(3, 0), (1, 3))} == {cube}
 
 
 def test_census_limit_counts_supports(monkeypatch, built):

@@ -103,8 +103,8 @@ def test_edge_recursion():
 def test_bfs(built):
     g = built(1, 3)
     assert bfs_distances(g, 0) == [0, 1, 1, 1, 2]
-    a = g.vertex_id(PString.from01("010"))
-    b = g.vertex_id(PString.from01("101"))
+    a = g.index[PString.from01("010").bits]
+    b = g.index[PString.from01("101").bits]
     assert bfs_distances(g, a)[b] == 3
     for v in range(g.vertex_count):
         assert bfs_distances(g, v)[v] == 0
@@ -130,14 +130,6 @@ def test_connected_and_bipartite(built):
                 assert g.vertices[hi].weight == g.vertices[lo].weight + 1
                 assert g.vertices[hi] == g.vertices[lo].flip(i)
             assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
-
-
-def test_vertex_id_errors(built):
-    g = built(1, 3)
-    with pytest.raises(ValueError):
-        g.vertex_id(PString.from01("11"))
-    with pytest.raises(ValueError):
-        g.vertex_id(PString.from01("011"))
 
 
 def test_cap(capsys):

@@ -49,7 +49,7 @@ class TestPairwiseReference:
         # 000000-100000 lies on the square through 000001 and 100001, so the
         # graph stays connected but is no longer a partial cube.
         g = built(1, 6)
-        h = drop_edge(g, (0, g.vertex_id(PString.from01("100000")), 1))
+        h = drop_edge(g, (0, g.index[PString.from01("100000").bits], 1))
         dist = all_pairs_distances(h)
         assert min(map(min, dist)) == 0
         assert wiener_oracle(h) == pairwise_wiener(dist) > wiener_closed(1, 6)
@@ -58,7 +58,7 @@ class TestPairwiseReference:
     def test_disconnected_graph(self, built, drop_edge):
         # the path 01-00-10 without 00-10 leaves 10 on its own
         g = built(1, 2)
-        h = drop_edge(g, (0, g.vertex_id(PString.from01("10")), 1))
+        h = drop_edge(g, (0, g.index[PString.from01("10").bits], 1))
         with pytest.raises(ValueError):
             wiener_oracle(h)
         assert mostar_oracle(h) == pairwise_mostar(h, all_pairs_distances(h)) == 0

@@ -102,7 +102,8 @@ class TestBivarPoly:
             BivarPoly(((1, 0, 1), (0, 0, 1)))
 
     def test_arithmetic(self):
-        x, q = BivarPoly.x(), BivarPoly.q()
+        x = BivarPoly.from_dict({(1, 0): 1})
+        q = MARKERS["distance"] - x
         assert (x + q) ** 2 == BivarPoly.from_dict(
             {(2, 0): 1, (1, 1): 2, (0, 2): 1}
         )

@@ -7,7 +7,6 @@ import pytest
 
 from fibpcubes import cli, verify
 from fibpcubes.series import TruncatedSeries
-from fibpcubes.strings import PString
 
 
 def plus_one(value):
@@ -65,17 +64,22 @@ def test_broken_closed_form_fails_its_check(
     assert f"FAIL {check} p=1: " in capsys.readouterr().out
 
 
-# The edge from 0^n to 1 0^(n-1) lies on a square for n >= 3 and is a bridge
-# at n = 2.  At n = 17, |V| = 4181 is above the old all-pairs limit.
-@pytest.mark.parametrize("n", [6, 17, 2])
-def test_dropped_edge_fails_partial_cube(monkeypatch, capsys, drop_edge, n):
+@pytest.fixture
+def without_first_edge(monkeypatch, drop_edge):
+    """verify.build leaves out the edge from 0^n to 1 0^(n-1)."""
     build = verify.build
 
     def build_without_edge(p, m, **kwargs):
         g = build(p, m, **kwargs)
-        return drop_edge(g, (0, g.vertex_id(PString(m, 1 << (m - 1))), 1))
+        return drop_edge(g, (0, g.index[1 << (m - 1)], 1))
 
     monkeypatch.setattr(verify, "build", build_without_edge)
+
+
+# The edge lies on a square for n >= 3 and is a bridge at n = 2.  At n = 17,
+# |V| = 4181 is above the old all-pairs limit.
+@pytest.mark.parametrize("n", [6, 17, 2])
+def test_dropped_edge_fails_partial_cube(capsys, without_first_edge, n):
     results = verify.run_suite("counts", [1], [n])
     partial_cube = [r for r in results if r.name == "counts/partial-cube p=1"]
     assert [r.passed for r in partial_cube] == [False]
@@ -83,6 +87,14 @@ def test_dropped_edge_fails_partial_cube(monkeypatch, capsys, drop_edge, n):
     code = cli.main(["verify", "counts", "--p", "1", "--n", str(n)])
     assert code == 1
     assert "FAIL counts/partial-cube p=1: " in capsys.readouterr().out
+
+
+def test_dropped_edge_fails_cube_counts(capsys, without_first_edge):
+    # the census finds cubes through the edge lists, not the vertex index
+    code = cli.main(["verify", "cubes", "--p", "1", "--n", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL cubes/counts p=1: p=1 n=6 k=1: oracle=37 sum=38 " in out
 
 
 def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
@@ -98,3 +110,25 @@ def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
     code = cli.main(["verify", "counts", "--p", "1", "--n", "6"])
     assert code == 1
     assert "FAIL counts/structure p=1: " in capsys.readouterr().out
+
+
+# Swapping two ids keeps the graph but breaks string order; relabelling the
+# graph p = 2 makes its strings with 1s two apart invalid.
+@pytest.mark.parametrize(
+    "fault, detail",
+    [
+        (lambda g, swap: swap(g, 1, 2), "p=1 n=6: vertex ids do not follow string order"),
+        (lambda g, swap: dataclasses.replace(g, p=2), "p=2 n=6: a vertex is not 2-valid"),
+    ],
+    ids=["swapped-ids", "invalid-vertex"],
+)
+def test_vertex_fault_fails_structure(monkeypatch, capsys, swap_vertices, fault, detail):
+    build = verify.build
+    monkeypatch.setattr(
+        verify, "build", lambda p, m, **kwargs: fault(build(p, m, **kwargs), swap_vertices)
+    )
+    code = cli.main(["verify", "counts", "--p", "1", "--n", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"FAIL counts/structure p=1: {detail}\n" in out
+    assert out.count("FAIL") == 1
