@@ -6,12 +6,17 @@ bit and looking the result up in the vertex index, so construction costs
 O(|V| * n) lookups and never scans vertex pairs.  The vertex limit is
 checked by the enumeration before any vertex exists; ``build`` adds only an
 optional bound on n.
+
+Distances come from a BFS per source, or from one ball sweep cached on
+the graph for all its distance oracles; the sweep refuses graphs of more
+than ``SWEEP_LIMIT`` vertices before it allocates any ball.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SizeLimitError
 from .sequences import pfib
@@ -19,6 +24,9 @@ from .strings import PString, enumerate_pstrings
 
 # (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
 Edge = tuple[int, int, int]
+
+# Two rows of |V| balls of |V| bits: about |V|^2 / 4 bytes, 64 MB at this |V|.
+SWEEP_LIMIT = 1 << 14
 
 
 @dataclass
@@ -40,6 +48,36 @@ class PCubeGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def distance_sums(self) -> tuple[tuple[int, ...], int]:
+        """Per vertex v, the sum over radii r of the vertices outside ball_r(v).
+
+        Each ball is a bitset of vertex ids, grown one radius per round by
+        ``ball[v] |= ball[w]`` over the neighbours w until no ball grows.  A
+        vertex at distance d lies outside d balls, so in a connected graph
+        the sums are the distance sums.  Also returns the ordered pairs left
+        apart, 0 exactly when the graph is connected.  Swept once per graph
+        object: a ``dataclasses.replace`` copy sweeps its own edges.
+        """
+        order = self.vertex_count
+        check_sweep_limit(order)
+        adjacency = self.adjacency
+        balls = [1 << v for v in range(order)]
+        sums = [0] * order
+        outside = [order - 1] * order
+        while any(outside):
+            sums = [s + o for s, o in zip(sums, outside)]
+            grown = []
+            for ball, neighbours in zip(balls, adjacency):
+                for w in neighbours:
+                    ball |= balls[w]
+                grown.append(ball)
+            balls = grown
+            last, outside = outside, [order - ball.bit_count() for ball in balls]
+            if outside == last:
+                break
+        return tuple(sums), sum(outside)
 
 
 def build(p: int, n: int, cap: int | None = None) -> PCubeGraph:
@@ -90,6 +128,12 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
 def total_edges_closed(p: int, n: int) -> int:
     """Closed form for the size of the graph: sum of F^p_i F^p_{n-i+1}."""
     return sum(pfib(p, i) * pfib(p, n - i + 1) for i in range(1, n + 1))
+
+
+def check_sweep_limit(order: int) -> None:
+    """Refuse with SizeLimitError a sweep over more than SWEEP_LIMIT vertices."""
+    if order > SWEEP_LIMIT:
+        raise SizeLimitError(f"|V| = {order} > {SWEEP_LIMIT}")
 
 
 def bfs_distances(g: PCubeGraph, source: int) -> list[int]:

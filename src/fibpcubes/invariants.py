@@ -2,19 +2,18 @@
 
 Each invariant comes twice: a graph-level oracle computed from the
 adjacency lists alone, and a closed form in the sequence values.  The
-distance oracles share one sweep that grows every vertex's ball a radius
-at a time as a bitset of vertex ids; ``all_pairs_distances`` is the
-pairwise reference the tests hold them to.  The oracle side never uses the
-direction structure that the closed forms rely on.  The sweep refuses
-graphs of more than ``SWEEP_LIMIT`` vertices with ``SizeLimitError`` before
-it allocates any ball.
+Wiener and Mostar oracles read the graph's cached ball sweep,
+``PCubeGraph.distance_sums``, so one sweep per graph serves both, and both
+are refused with ``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
+``all_pairs_distances`` is the pairwise reference the tests hold them to.
+The oracle side never uses the direction structure that the closed forms
+rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
 from .graph import (
     PCubeGraph,
     bfs_distances,
@@ -24,55 +23,15 @@ from .graph import (
 from .sequences import pfib
 from .strings import PString
 
-# Two rows of |V| balls of |V| bits each take about |V|^2 / 4 bytes: 64 MB
-# at this many vertices.
-SWEEP_LIMIT = 1 << 14
-
 
 def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
     """Full BFS distance table, one row per source vertex."""
     return [bfs_distances(g, s) for s in range(g.vertex_count)]
 
 
-def check_sweep_limit(order: int) -> None:
-    """Refuse with SizeLimitError a sweep over more than SWEEP_LIMIT vertices."""
-    if order > SWEEP_LIMIT:
-        raise SizeLimitError(f"|V| = {order} > {SWEEP_LIMIT}")
-
-
-def _distance_sums(g: PCubeGraph) -> tuple[list[int], int]:
-    """Per vertex v, the sum over radii r of the vertices outside ball_r(v).
-
-    Each ball is a bitset of vertex ids, grown one radius per round by
-    ``ball[v] |= ball[w]`` over the neighbours w until no ball grows.  A
-    vertex at distance d lies outside d balls, so in a connected graph the
-    sums are the vertices' distance sums.  Also returns the number of
-    ordered pairs left apart when the balls stop growing: 0 exactly when g
-    is connected.  Refused beyond SWEEP_LIMIT vertices.
-    """
-    order = g.vertex_count
-    check_sweep_limit(order)
-    adjacency = g.adjacency
-    balls = [1 << v for v in range(order)]
-    sums = [0] * order
-    outside = [order - 1] * order
-    while any(outside):
-        sums = [s + o for s, o in zip(sums, outside)]
-        grown = []
-        for ball, neighbours in zip(balls, adjacency):
-            for w in neighbours:
-                ball |= balls[w]
-            grown.append(ball)
-        balls = grown
-        last, outside = outside, [order - ball.bit_count() for ball in balls]
-        if outside == last:
-            break
-    return sums, sum(outside)
-
-
 def wiener_oracle(g: PCubeGraph) -> int:
     """Sum of distances over unordered vertex pairs, from the ball sweep."""
-    sums, apart = _distance_sums(g)
+    sums, apart = g.distance_sums
     if apart:
         raise ValueError("the Wiener index of a disconnected graph is infinite")
     return sum(sums) // 2
@@ -92,7 +51,7 @@ def mostar_oracle(g: PCubeGraph) -> int:
     n_uv - n_vu = T(v) - T(u).  Vertices out of reach add the same amount
     to both sums, so the identity holds on a disconnected graph too.
     """
-    sums, _ = _distance_sums(g)
+    sums, _ = g.distance_sums
     return sum(abs(sums[lo] - sums[hi]) for lo, hi, _ in g.edges)
 
 

@@ -1,19 +1,21 @@
 """Closed-form versus oracle check suites, shared by the CLI and the tests.
 
-Each suite walks a (p, n) grid, recomputes every identity from both sides,
+Each suite recomputes every identity from both sides over a (p, n) grid,
 and reports one result per identity and parameter p with the first
 counterexample when something disagrees.  A suite is one row of ``SUITES``:
 its check names in report order, and a function that fills the mismatches
-and notes of every check for one (p, n) from a single graph build.  Size
-limits are enforced where memory is allocated: a graph beyond the vertex
-limit is refused, and a distance oracle beyond the sweep limit leaves a
-note on each check it skipped.
+and notes of every check for one (p, n).  ``run_suite`` walks the grid
+once and builds each point's graph at most once, for every suite that reads
+it; the gf suite reads none.  Size limits are enforced where memory is
+allocated: a graph beyond the vertex limit is refused, and a distance
+oracle beyond the sweep limit leaves a note on each check it skipped.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from typing import Callable, Sequence
 
@@ -23,12 +25,12 @@ from .graph import (
     PCubeGraph,
     bfs_distances,
     build,
+    check_sweep_limit,
     direction_edge_count,
     direction_edge_count_closed,
     total_edges_closed,
 )
 from .invariants import (
-    check_sweep_limit,
     imbalance_census,
     irregularity_closed,
     irregularity_oracle,
@@ -69,6 +71,8 @@ from .strings import count_by_weight, is_pvalid, max_weight
 # that fail the check, or the notes on what it left unchecked.
 PerCheck = dict[str, list[str]]
 
+PointGraph = Callable[[], PCubeGraph]  # built on the first call only
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -83,8 +87,10 @@ def _result(name: str, mismatches: list[str], notes: list[str]) -> CheckResult:
     return CheckResult(name, True, "; ".join(notes))
 
 
-def _counts_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
-    g = build(p, n)
+def _counts_at(
+    bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
+) -> None:
+    g = graph()
     expected_order = pfib(p, n + p + 1)
     if g.vertex_count != expected_order:
         bad["order"].append(
@@ -158,8 +164,10 @@ def _partial_cube_mismatches(g: PCubeGraph) -> list[str]:
     return []
 
 
-def _cubes_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
-    g = build(p, n)
+def _cubes_at(
+    bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
+) -> None:
+    g = graph()
     census = cube_census(g)
     poly = cube_poly_closed(p, n)
     wpoly = weight_poly(p, n)
@@ -236,7 +244,9 @@ def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
             out.append(f"p={p} k={k}: fixed-k gf mismatch")
 
 
-def _indices_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
+def _indices_at(
+    bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
+) -> None:
     wc, mc = wiener_closed(p, n), mostar_closed(p, n)
     try:  # the graph serves only the distance oracles: skip it with them
         check_sweep_limit(pfib(p, n + p + 1))
@@ -244,7 +254,7 @@ def _indices_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
         for check in ("wiener", "mostar"):
             notes[check].append(f"p={p} n={n}: oracle not checked, {exc}")
     else:
-        g = build(p, n)
+        g = graph()
         wo, mo = wiener_oracle(g), mostar_oracle(g)
         if wo != wc:
             bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
@@ -255,8 +265,10 @@ def _indices_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
         bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
 
 
-def _irregularity_at(bad: PerCheck, notes: PerCheck, p: int, n: int) -> None:
-    g = build(p, n)
+def _irregularity_at(
+    bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
+) -> None:
+    g = graph()
     records = imbalance_census(g)
     oracle = irregularity_oracle(g)
     if sum(r.imbalance for r in records) != oracle:
@@ -312,9 +324,7 @@ def _neighbour_prop_mismatches(g: PCubeGraph) -> list[str]:
     return out
 
 
-def _projection_mismatches(
-    g: PCubeGraph, pairs: list, d: int
-) -> list[str]:
+def _projection_mismatches(g: PCubeGraph, pairs: list, d: int) -> list[str]:
     out = []
     tag = f"p={g.p} n={g.n} d={d}"
     smaller = build(g.p, g.n - d)
@@ -334,14 +344,12 @@ def _projection_mismatches(
             out.append(f"{tag}: lift does not round-trip the pair")
             return out
     if len(images) != len(target):
-        out.append(
-            f"{tag}: image covers {len(images)} of {len(target)} edges"
-        )
+        out.append(f"{tag}: image covers {len(images)} of {len(target)} edges")
     return out
 
 
-# Suite name -> (check names in report order, per-(p, n) filler), in the
-# order `all` runs them.
+# Suite name -> (check names in report order, filler), in the order `all`
+# runs them.  The gf filler takes (p, order), the others (graph, p, n).
 SUITES: dict[str, tuple[tuple[str, ...], Callable[..., None]]] = {
     "cubes": (("counts", "distance-counts", "daisy-identities"), _cubes_at),
     "gf": (("identities",), _gf_at),
@@ -360,52 +368,59 @@ SUITES: dict[str, tuple[tuple[str, ...], Callable[..., None]]] = {
 CHOICES = (*SUITES, "all")
 
 
-def _grid(suite: str, ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
-    checks, fill = SUITES[suite]
-    results: list[CheckResult] = []
-    for p in ps:
-        bad: PerCheck = {check: [] for check in checks}
-        notes: PerCheck = {check: [] for check in checks}
-        for n in ns:
-            fill(bad, notes, p, n)
-        for check in checks:
-            results.append(_result(f"{suite}/{check} p={p}", bad[check], notes[check]))
-    return results
-
-
 def suite_counts(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Order, size, direction counts, weight census, and structure checks."""
-    return _grid("counts", ps, ns)
+    return run_suite("counts", ps, ns)
 
 
 def suite_cubes(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Cube counts against every closed form, plus the daisy identities."""
-    return _grid("cubes", ps, ns)
+    return run_suite("cubes", ps, ns)
 
 
 def suite_gf(ps: Sequence[int], order: int = DEFAULT_ORDER) -> list[CheckResult]:
     """All generating-function identities, coefficient-exact to the order."""
-    return _grid("gf", ps, (order,))
+    return run_suite("gf", ps, (), order)
 
 
 def suite_indices(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Wiener and Mostar closed forms against the ball-sweep oracles."""
-    return _grid("indices", ps, ns)
+    return run_suite("indices", ps, ns)
 
 
 def suite_irregularity(ps: Sequence[int], ns: Sequence[int]) -> list[CheckResult]:
     """Irregularity closed form, imbalanced-pair sets, and the projection."""
-    return _grid("irregularity", ps, ns)
+    return run_suite("irregularity", ps, ns)
 
 
 def run_suite(
     suite: str, ps: Sequence[int], ns: Sequence[int], order: int = DEFAULT_ORDER
 ) -> list[CheckResult]:
-    """Run one named suite, or all of them in table order, over the given grid."""
+    """Run one named suite, or all of them in table order, over the given grid.
+
+    The grid is walked once, p by p.  At each (p, n) one graph, built
+    through ``build`` on first use, goes to every graph suite; the gf suite
+    runs once per p at the series order.  Results are listed by suite, then
+    p, then check.
+    """
     if suite not in CHOICES:
         raise ValueError(f"unknown suite {suite!r}; choose from {CHOICES}")
-    results: list[CheckResult] = []
-    for name in SUITES if suite == "all" else (suite,):
-        # The gf suite walks series orders, not graph sizes.
-        results.extend(_grid(name, ps, (order,) if name == "gf" else ns))
-    return results
+    names = tuple(SUITES) if suite == "all" else (suite,)
+    bad, notes = (
+        {(name, p): {c: [] for c in SUITES[name][0]} for name in names for p in ps}
+        for _ in range(2)
+    )
+    graph_suites = [name for name in names if name != "gf"]
+    for p in ps:
+        if "gf" in names:
+            _gf_at(bad["gf", p], notes["gf", p], p, order)
+        for n in ns:
+            graph = cache(partial(build, p, n))
+            for name in graph_suites:
+                SUITES[name][1](bad[name, p], notes[name, p], graph, p, n)
+    return [
+        _result(f"{name}/{check} p={p}", bad[name, p][check], notes[name, p][check])
+        for name in names
+        for p in ps
+        for check in SUITES[name][0]
+    ]

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibpcubes
-from fibpcubes import cli, invariants, verify
+from fibpcubes import cli, graph, verify
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
@@ -22,6 +23,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (p, n) of every graph whose distance sweep runs."""
+    calls = []
+    sweep = graph.PCubeGraph.distance_sums.func
+
+    def counted(g):
+        calls.append((g.p, g.n))
+        return sweep(g)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(graph.PCubeGraph, "distance_sums")
+    monkeypatch.setattr(graph.PCubeGraph, "distance_sums", prop)
+    return calls
 
 
 def run_limited(*argv):
@@ -133,7 +150,7 @@ class TestVerify:
         assert "theorem not applicable (n < p), oracle-only" in out
 
     def test_partial_cube_skip_note(self, monkeypatch, capsys):
-        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        monkeypatch.setattr(graph, "SWEEP_LIMIT", 8)
         code, out, _ = run(capsys, "verify", "counts", "--p", "1", "--n", "3..5")
         assert code == 0
         lines = out.splitlines()
@@ -144,7 +161,7 @@ class TestVerify:
         )
 
     def test_oracle_skip_notes(self, monkeypatch, capsys):
-        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        monkeypatch.setattr(graph, "SWEEP_LIMIT", 8)
         built = []
         build = verify.build
 
@@ -210,6 +227,40 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "all", "--p", "1", "--n", "0..30")
         assert code == 3
         assert "cap" in err
+
+    def test_gf_ignores_the_graph_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "gf", "--p", "0", "--n", "0..30",
+                             "--N", "4")
+        assert (code, err) == (0, "")
+        assert "PASS gf/identities p=0\n" in out
+
+    def test_gf_builds_no_graph(self, monkeypatch, capsys):
+        def no_strings(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(graph, "enumerate_pstrings", no_strings)
+        code, out, _ = run(capsys, "verify", "gf", "--p", "0..1", "--N", "8")
+        assert code == 0
+        assert out.splitlines()[-1] == "2/2 checks passed"
+
+    def test_each_grid_point_is_built_once(self, monkeypatch, capsys):
+        built = []
+        build = verify.build
+
+        def recording_build(p, n):
+            built.append((p, n))
+            return build(p, n)
+
+        monkeypatch.setattr(verify, "build", recording_build)
+        code, _, _ = run(capsys, "verify", "all", "--p", "1", "--n", "0..3")
+        assert code == 0
+        # every suite shares the point's graph; the projection adds (1, n - 1)
+        assert built == [(1, 0), (1, 1), (1, 0), (1, 2), (1, 1), (1, 3), (1, 2)]
+
+    def test_one_sweep_per_graph(self, sweeps, capsys):
+        code, _, _ = run(capsys, "verify", "all", "--p", "1", "--n", "0..6")
+        assert code == 0
+        assert sweeps == [(1, n) for n in range(7)]
 
 
 class TestExport:
@@ -313,8 +364,16 @@ class TestIndices:
         assert code == 0
         assert "wiener: closed=16 oracle=16" in out
 
+    def test_one_sweep_serves_both_distance_oracles(self, sweeps, capsys):
+        code, out, _ = run(capsys, "indices", "--p", "1", "--n", "6")
+        assert code == 0
+        assert sweeps == [(1, 6)]
+        doc = json.loads(out)
+        assert doc["wiener"]["oracle"] == doc["wiener"]["closed"]
+        assert doc["mostar"]["oracle"] == doc["mostar"]["closed"]
+
     def test_beyond_sweep_limit_nulls_distance_oracles(self, monkeypatch, capsys):
-        monkeypatch.setattr(invariants, "SWEEP_LIMIT", 8)
+        monkeypatch.setattr(graph, "SWEEP_LIMIT", 8)
         code, out, _ = run(capsys, "indices", "--p", "1", "--n", "5")
         assert code == 0
         doc = json.loads(out)

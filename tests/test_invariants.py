@@ -1,6 +1,6 @@
 import pytest
 
-from fibpcubes.graph import direction_edge_count_closed, total_edges_closed
+from fibpcubes.graph import build, direction_edge_count_closed, total_edges_closed
 from fibpcubes.invariants import (
     ImbalancedPair,
     all_pairs_distances,
@@ -54,6 +54,16 @@ class TestPairwiseReference:
         assert min(map(min, dist)) == 0
         assert wiener_oracle(h) == pairwise_wiener(dist) > wiener_closed(1, 6)
         assert mostar_oracle(h) == pairwise_mostar(h, dist)
+
+    def test_copy_sweeps_its_own_edges(self, drop_edge):
+        # the sums cached on g do not travel to the copy without an edge
+        g = build(1, 6)
+        wiener = wiener_oracle(g)
+        assert "distance_sums" in vars(g)
+        h = drop_edge(g, (0, g.index[PString.from01("100000").bits], 1))
+        assert "distance_sums" not in vars(h)
+        assert wiener_oracle(h) == pairwise_wiener(all_pairs_distances(h)) > wiener
+        assert wiener_oracle(g) == wiener
 
     def test_disconnected_graph(self, built, drop_edge):
         # the path 01-00-10 without 00-10 leaves 10 on its own
