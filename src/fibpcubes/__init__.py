@@ -13,6 +13,7 @@ from .graph import (
     build,
     direction_edge_count,
     direction_edge_count_closed,
+    direction_edge_counts_closed,
     graph_json,
     to_dot,
     total_edges_closed,
@@ -60,6 +61,7 @@ from .strings import (
     enumerate_pstrings,
     is_pvalid,
     max_weight,
+    weight_census,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .errors import SizeLimitError
 from .graph import (
     build,
     direction_edge_count,
-    direction_edge_count_closed,
+    direction_edge_counts_closed,
     graph_json,
     to_dot,
     total_edges_closed,
@@ -37,7 +37,7 @@ from .invariants import (
 from .polynomials import MARKERS
 from .sequences import pfib
 from .series import DEFAULT_ORDER
-from .strings import check_vertex_limit, count_by_weight, max_weight
+from .strings import check_vertex_limit, max_weight, weight_census
 from .verify import CHOICES, closed_poly, run_suite
 
 EXIT_OK = 0
@@ -133,17 +133,14 @@ def _count_rows(args: argparse.Namespace) -> list[dict]:
     rows = []
     for p in _values(args.p):
         for n in _values(args.n):
-            top = max_weight(p, n)
             rows.append(
                 {
                     "p": str(p),
                     "n": str(n),
                     "vertices": str(pfib(p, n + p + 1)),
                     "edges": str(total_edges_closed(p, n)),
-                    "max_weight": str(top),
-                    "weight_census": [
-                        str(count_by_weight(p, n, w)) for w in range(top + 1)
-                    ],
+                    "max_weight": str(max_weight(p, n)),
+                    "weight_census": [str(c) for c in weight_census(p, n)],
                 }
             )
     return rows
@@ -239,14 +236,12 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def _indices_doc(args: argparse.Namespace) -> dict:
     p, n = args.p, args.n
-    closed_dirs = [
-        str(direction_edge_count_closed(p, n, i)) for i in range(1, n + 1)
-    ]
+    closed_dirs = direction_edge_counts_closed(p, n)
     doc: dict = {
         "p": str(p),
         "n": str(n),
         "vertices": str(pfib(p, n + p + 1)),
-        "edges": str(total_edges_closed(p, n)),
+        "edges": str(sum(closed_dirs)),
         "wiener": {"closed": str(wiener_closed(p, n)), "oracle": None},
         "mostar": {"closed": str(mostar_closed(p, n)), "oracle": None},
         "irregularity": {
@@ -254,7 +249,10 @@ def _indices_doc(args: argparse.Namespace) -> dict:
             "oracle": None,
             "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
         },
-        "edge_counts_by_direction": {"closed": closed_dirs, "oracle": None},
+        "edge_counts_by_direction": {
+            "closed": [str(c) for c in closed_dirs],
+            "oracle": None,
+        },
     }
     if n <= args.cap:
         g = build(p, n)

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .errors import SizeLimitError
 from .graph import PCubeGraph
-from .strings import PString, count_by_weight, max_weight
+from .strings import PString, weight_census
 
 # Most supports the census counts: 3^n at p = 0, so it admits n = 13 and
 # refuses n = 14 there.
@@ -43,11 +43,11 @@ class InducedCube:
 def check_census_limit(p: int, n: int) -> None:
     """Refuse with SizeLimitError when length n has over CENSUS_LIMIT supports.
 
-    The supports are Σ_a count_by_weight(p, n, a) * 2^a, one per subset of
+    The supports are Σ_a weight_census(p, n)[a] * 2^a, one per subset of
     each vertex's 1s.  Callers check the vertex limit first, which bounds
     the number of weights summed.
     """
-    supports = sum(count_by_weight(p, n, a) << a for a in range(max_weight(p, n) + 1))
+    supports = sum(count << a for a, count in enumerate(weight_census(p, n)))
     if supports > CENSUS_LIMIT:
         raise SizeLimitError(
             f"p = {p}, n = {n}: {supports} cube supports exceed the census "

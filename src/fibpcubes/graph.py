@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SizeLimitError
-from .sequences import pfib
+from .sequences import pfib, pfib_table
 from .strings import PString, enumerate_pstrings
 
 # (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
@@ -125,9 +125,19 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
     return pfib(p, i) * pfib(p, n - i + 1)
 
 
+def direction_edge_counts_closed(p: int, n: int) -> list[int]:
+    """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
+
+    One table prefix F_1 .. F_n serves all n products, read forwards and
+    backwards.
+    """
+    fib = pfib_table(p).prefix(n)[1:]
+    return [a * b for a, b in zip(fib, reversed(fib))]
+
+
 def total_edges_closed(p: int, n: int) -> int:
     """Closed form for the size of the graph: sum of F^p_i F^p_{n-i+1}."""
-    return sum(pfib(p, i) * pfib(p, n - i + 1) for i in range(1, n + 1))
+    return sum(direction_edge_counts_closed(p, n))
 
 
 def check_sweep_limit(order: int) -> None:

@@ -13,11 +13,12 @@ rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import (
     PCubeGraph,
     bfs_distances,
-    direction_edge_count_closed,
+    direction_edge_counts_closed,
     total_edges_closed,
 )
 from .sequences import pfib
@@ -37,10 +38,18 @@ def wiener_oracle(g: PCubeGraph) -> int:
     return sum(sums) // 2
 
 
+@lru_cache(maxsize=1)
+def _direction_sums(p: int, n: int) -> tuple[int, int]:
+    # (|E|, sum of squared direction counts), kept for the last (p, n) only
+    # so that Wiener and Mostar share one pass; the list itself is dropped.
+    counts = direction_edge_counts_closed(p, n)
+    return sum(counts), sum(c * c for c in counts)
+
+
 def wiener_closed(p: int, n: int) -> int:
     """|V| * |E| minus the sum of squared per-direction edge counts."""
-    counts = [direction_edge_count_closed(p, n, i) for i in range(1, n + 1)]
-    return pfib(p, n + p + 1) * sum(counts) - sum(c * c for c in counts)
+    edges, squares = _direction_sums(p, n)
+    return pfib(p, n + p + 1) * edges - squares
 
 
 def mostar_oracle(g: PCubeGraph) -> int:
@@ -57,8 +66,8 @@ def mostar_oracle(g: PCubeGraph) -> int:
 
 def mostar_closed(p: int, n: int) -> int:
     """|V| * |E| minus twice the sum of squared per-direction edge counts."""
-    counts = [direction_edge_count_closed(p, n, i) for i in range(1, n + 1)]
-    return pfib(p, n + p + 1) * sum(counts) - 2 * sum(c * c for c in counts)
+    edges, squares = _direction_sums(p, n)
+    return pfib(p, n + p + 1) * edges - 2 * squares
 
 
 def irregularity_oracle(g: PCubeGraph) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .sequences import binomial
-from .strings import count_by_weight, max_weight
+from .strings import max_weight, weight_census
 
 NEG_INF = float("-inf")
 
@@ -337,9 +337,7 @@ def cube_count_closed(p: int, n: int, k: int) -> int:
 
 def weight_poly(p: int, n: int) -> Polynomial:
     """Vertex counts by Hamming weight as a polynomial in x."""
-    return Polynomial.from_coeffs(
-        count_by_weight(p, n, w) for w in range(max_weight(p, n) + 1)
-    )
+    return Polynomial.from_coeffs(weight_census(p, n))
 
 
 def dist_cube_poly_closed(p: int, n: int) -> BivarPoly:

@@ -49,10 +49,6 @@ class TruncatedSeries:
         return TruncatedSeries(ring, tuple(vals))
 
     @staticmethod
-    def zero(ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(ring, [], order)
-
-    @staticmethod
     def one(ring: CoefficientRing, order: int) -> "TruncatedSeries":
         return TruncatedSeries.from_coeffs(ring, [ring.one], order)
 
@@ -106,13 +102,6 @@ class TruncatedSeries:
         for _ in range(exponent):
             out = out * self
         return out
-
-    def shift(self, e: int) -> "TruncatedSeries":
-        """Multiply by t^e at the same truncation order."""
-        if e < 0:
-            raise ValueError(f"shift must be non-negative, got {e}")
-        vals = (self.ring.zero,) * e + self.coeffs[: self.order + 1 - e]
-        return TruncatedSeries(self.ring, vals)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse via the standard recurrence.

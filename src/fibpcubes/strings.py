@@ -5,6 +5,9 @@ zeros.  Strings are packed into ints with coordinate 1 (the leftmost
 character) at the most significant of the n bits, so on equal lengths
 numeric order coincides with lexicographic order.
 
+The counts by weight come per weight from one binomial each
+(``count_by_weight``), or as a whole row in one pass (``weight_census``).
+
 Enumeration is where a graph's vertices are allocated, so the vertex limit
 lives here: ``check_vertex_limit`` refuses a length whose string count,
 known in closed form before any string is made, exceeds ``MAX_VERTICES``.
@@ -12,6 +15,7 @@ known in closed form before any string is made, exceeds ``MAX_VERTICES``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
@@ -141,3 +145,22 @@ def count_by_weight(p: int, n: int, w: int) -> int:
     if w < 0:
         return 0
     return binomial(n - w * p + p, w)
+
+
+def weight_census(p: int, n: int) -> list[int]:
+    """The counts by weight, w = 0 .. max_weight(p, n), built in one pass.
+
+    With m = n - w*p + p, each entry follows from the one before by the
+    exact ratio binom(m - p, w + 1) / binom(m, w), which is
+    prod_{j=0..p} (m - w - j) / ((w + 1) * prod_{j<p} (m - j)).  The two
+    products share the factors m - p + 1 .. m - w, and cancelling them
+    leaves min(w, p) + 1 factors over min(w, p).  The product is formed
+    before the floor division, which is therefore exact.
+    """
+    row = [1]
+    for w in range(max_weight(p, n)):
+        m, k = n - w * p + p, min(w, p)
+        above = math.perm(m - max(w, p), k + 1)  # m - w - p .. m - max(w, p)
+        below = math.perm(m, k) * (w + 1)  # m - k + 1 .. m, and w + 1
+        row.append(row[-1] * above // below)
+    return row

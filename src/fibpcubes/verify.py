@@ -28,6 +28,7 @@ from .graph import (
     check_sweep_limit,
     direction_edge_count,
     direction_edge_count_closed,
+    direction_edge_counts_closed,
     total_edges_closed,
 )
 from .invariants import (
@@ -65,7 +66,7 @@ from .series import (
     verify_cube_count_gf,
     verify_weight_gf_expansion,
 )
-from .strings import count_by_weight, is_pvalid, max_weight
+from .strings import count_by_weight, is_pvalid, max_weight, weight_census
 
 # Check name -> lines filled for one p across its n grid: the mismatches
 # that fail the check, or the notes on what it left unchecked.
@@ -99,19 +100,31 @@ def _counts_at(
     expected_size = total_edges_closed(p, n)
     if g.edge_count != expected_size:
         bad["size"].append(f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}")
-    for i in range(1, n + 1):
+    # Each count three ways: the graph's, the one-pass list, the single product.
+    listed = direction_edge_counts_closed(p, n)
+    if len(listed) != n:
+        bad["directions"].append(f"p={p} n={n}: {len(listed)} directions listed")
+    for i, in_list in zip(range(1, n + 1), listed):
         counted = direction_edge_count(g, i)
         closed = direction_edge_count_closed(p, n, i)
-        if counted != closed:
+        if not counted == in_list == closed:
             bad["directions"].append(
-                f"p={p} n={n} i={i}: counted {counted} expected {closed}"
+                f"p={p} n={n} i={i}: counted {counted} listed {in_list} "
+                f"expected {closed}"
             )
+    # Each weight three ways: the graph's census, the one-pass row, one binomial.
     census = Counter(v.weight for v in g.vertices)
-    for w in range(max_weight(p, n) + 2):
-        if census.get(w, 0) != count_by_weight(p, n, w):
+    top = max_weight(p, n)
+    row = weight_census(p, n)
+    if len(row) != top + 1:
+        bad["weight-census"].append(f"p={p} n={n}: row of {len(row)} weights")
+    for w in range(top + 2):
+        in_row = row[w] if w < len(row) else 0
+        single = count_by_weight(p, n, w)
+        if not census.get(w, 0) == in_row == single:
             bad["weight-census"].append(
-                f"p={p} n={n} w={w}: census {census.get(w, 0)} "
-                f"expected {count_by_weight(p, n, w)}"
+                f"p={p} n={n} w={w}: census {census.get(w, 0)} row {in_row} "
+                f"expected {single}"
             )
     if n >= p + 1:
         recursed = (
@@ -260,7 +273,7 @@ def _indices_at(
             bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
         if mo != mc:
             bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
-    squares = sum(direction_edge_count_closed(p, n, i) ** 2 for i in range(1, n + 1))
+    squares = sum(c * c for c in direction_edge_counts_closed(p, n))
     if wc - mc != squares or squares < 0:
         bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
 

@@ -95,6 +95,25 @@ class TestCount:
         assert code == 0
         assert "vertices=" in out
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("count", "--p", "2", "--n", "4"),
+             "p=2 n=4 vertices=6 edges=6 max_weight=2 weights=1,4,1\n"),
+            (("poly", "weight", "--p", "2", "--n", "4"), "1 + 4*x + x^2\n"),
+        ],
+        ids=["count", "poly-weight"],
+    )
+    def test_weights_come_from_the_one_pass_row(self, monkeypatch, capsys, argv, out):
+        def per_weight(*args):
+            raise AssertionError("count_by_weight called")
+
+        # every module that imported it by name holds its own binding
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fibpcubes") and hasattr(module, "count_by_weight"):
+                monkeypatch.setattr(module, "count_by_weight", per_weight)
+        assert run(capsys, *argv) == (0, out, "")
+
 
 class TestPoly:
     def test_cube_text(self, capsys):

@@ -50,11 +50,6 @@ class TestArithmetic:
         a = ints([0, 1], 2)
         assert (a * a * a) == ints([], 2)  # t^3 falls off the order
 
-    def test_zero_annihilates(self):
-        a = ints([3, 1, 4], 5)
-        zero = TruncatedSeries.zero(INTS, 5)
-        assert a * zero == zero
-
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ints([1], 3) + ints([1], 4)
@@ -70,12 +65,6 @@ class TestArithmetic:
     def test_coeff_bounds(self):
         with pytest.raises(ValueError):
             ints([1], 3).coeff(4)
-
-    def test_shift(self):
-        assert ints([1, 2, 3], 3).shift(1) == ints([0, 1, 2, 3], 3)
-        assert ints([1, 2, 3, 4], 3).shift(2) == ints([0, 0, 1, 2], 3)
-        with pytest.raises(ValueError):
-            ints([1], 3).shift(-1)
 
     @given(int_series, int_series)
     def test_mul_commutes(self, a, b):
@@ -173,11 +162,10 @@ class TestIdentityChecks:
                 assert verify_cube_count_gf(p, k, 12)
 
     def test_cube_count_gf_known_coefficient(self):
-        # the dimension-1 series counts edges: 5 of them at (p, n) = (1, 3)
-        series = (
-            gap_denominator(INTS, 1, 1, 12).inverse() ** 2
-        ).shift(1)
-        assert series.coeff(3) == 5
+        # the dimension-1 series t R^2, R = 1/(1 - t - t^2), counts edges:
+        # 5 of them at (p, n) = (1, 3), so [t^2] R^2 = 5
+        squared = gap_denominator(INTS, 1, 1, 12).inverse() ** 2
+        assert squared.coeff(3 - 1) == 5
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):

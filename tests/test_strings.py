@@ -12,6 +12,7 @@ from fibpcubes.strings import (
     enumerate_pstrings,
     is_pvalid,
     max_weight,
+    weight_census,
 )
 
 
@@ -144,6 +145,18 @@ class TestWeights:
                     count_by_weight(p, n, w) for w in range(max_weight(p, n) + 1)
                 )
                 assert total == pfib(p, n + p + 1)
+
+    def test_row_matches_each_weight(self):
+        # n = 0 and n < p included
+        for p in range(7):
+            for n in range(81):
+                assert weight_census(p, n) == [
+                    count_by_weight(p, n, w) for w in range(max_weight(p, n) + 1)
+                ], (p, n)
+
+    def test_row_at_huge_p_cancels_the_gap(self):
+        # uncancelled, the first ratio would multiply a billion factors
+        assert weight_census(10**9, 3) == [1, 3]
 
     def test_max_weight(self):
         assert max_weight(2, 4) == 2

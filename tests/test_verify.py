@@ -13,6 +13,11 @@ def plus_one(value):
     return value + 1
 
 
+def bump_last_entry(values):
+    # an empty list (no directions at n = 0) has nothing to break
+    return values[:-1] + [values[-1] + 1] if values else values
+
+
 def bump_last_coefficient(series):
     coeffs = series.coeffs[:-1] + (series.coeffs[-1] + series.ring.one,)
     return TruncatedSeries(series.ring, coeffs)
@@ -29,7 +34,9 @@ def bump_first_coefficient(series):
     [
         ("total_edges_closed", plus_one, "counts/size"),
         ("direction_edge_count_closed", plus_one, "counts/directions"),
+        ("direction_edge_counts_closed", bump_last_entry, "counts/directions"),
         ("count_by_weight", plus_one, "counts/weight-census"),
+        ("weight_census", bump_last_entry, "counts/weight-census"),
         ("weight_poly", plus_one, "cubes/daisy-identities"),
         ("cube_poly_closed", plus_one, "cubes/counts"),
         ("dist_cube_poly_closed", plus_one, "cubes/daisy-identities"),
