@@ -8,6 +8,12 @@ are refused with ``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
 ``all_pairs_distances`` is the pairwise reference the tests hold them to.
 The oracle side never uses the direction structure that the closed forms
 rely on.
+
+Irregularity rests on one scan of (edge, direction) pairs,
+``imbalance_census``, and its records fill every irregularity check: the
+pairs number irr; each record's signed degree gap is its pair count
+(Proposition 1) and its offsets stay within p (Proposition 2); the pairs
+at offset d number |E(n - d)| a side and project onto that graph's edges.
 """
 
 from __future__ import annotations
@@ -15,12 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graph import (
-    PCubeGraph,
-    bfs_distances,
-    direction_edge_counts_closed,
-    total_edges_closed,
-)
+from .graph import PCubeGraph, bfs_distances, direction_edge_counts_closed
 from .sequences import pfib
 from .strings import PString
 
@@ -80,11 +81,18 @@ def irregularity_oracle(g: PCubeGraph) -> int:
 def irregularity_closed(p: int, n: int) -> int:
     """Twice the sum of the edge counts of the p previous lengths.
 
+    The theorem irr = 2 * sum_{d=1..p} |E(n - d)|, summed in one pass:
+    with |E(m)| = sum_i F_i F_{m-i+1}, each F_i meets the window sum
+    F_{n-i-p+1} + ... + F_{n-i} (indices below 1 dropped), which telescopes
+    through F_{j+p+1} - F_{j+p} = F_j to F_{n-i+p+1} - F_{max(n-i+1, p+1)}.
     Only valid for n >= p; smaller n must go through the oracle.
     """
     if n < p:
         raise ValueError(f"closed form needs n >= p, got n = {n} < p = {p}")
-    return 2 * sum(total_edges_closed(p, n - d) for d in range(1, p + 1))
+    return 2 * sum(
+        pfib(p, i) * (pfib(p, n - i + p + 1) - pfib(p, max(n - i + 1, p + 1)))
+        for i in range(1, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,11 @@ class ImbalancedPair:
 
 @dataclass(frozen=True)
 class EdgeImbalance:
-    """Imbalance record of one edge, oriented 1-endpoint first."""
+    """Imbalance record of one edge, oriented 1-endpoint first.
+
+    imbalance is deg y - deg x, sign kept: the j at which only y + delta_j
+    is a vertex (the pairs) less those at which only x + delta_j is.
+    """
 
     x: PString
     y: PString
@@ -138,28 +150,28 @@ def imbalance_census(g: PCubeGraph) -> list[EdgeImbalance]:
             mask = 1 << (n - j)
             if (y.bits ^ mask) in g.index and (x.bits ^ mask) not in g.index:
                 pairs.append(ImbalancedPair(x, y, i, j))
-        imbalance = abs(len(g.adjacency[lo]) - len(g.adjacency[hi]))
+        imbalance = len(g.adjacency[lo]) - len(g.adjacency[hi])
         records.append(EdgeImbalance(x, y, i, imbalance, tuple(pairs)))
     return records
 
 
-def right_pairs(records: list[EdgeImbalance], d: int) -> list[ImbalancedPair]:
-    """The pairs whose witnessing direction sits d places right of the edge's."""
+def _pairs_at(records: list[EdgeImbalance], side: str, d: int) -> list[ImbalancedPair]:
     return [
         pair
         for record in records
         for pair in record.pairs
-        if pair.side == "right" and pair.offset == d
+        if pair.side == side and pair.offset == d
     ]
+
+
+def right_pairs(records: list[EdgeImbalance], d: int) -> list[ImbalancedPair]:
+    """The pairs whose witnessing direction sits d places right of the edge's."""
+    return _pairs_at(records, "right", d)
 
 
 def left_pairs(records: list[EdgeImbalance], d: int) -> list[ImbalancedPair]:
-    return [
-        pair
-        for record in records
-        for pair in record.pairs
-        if pair.side == "left" and pair.offset == d
-    ]
+    """The pairs whose witnessing direction sits d places left of the edge's."""
+    return _pairs_at(records, "left", d)
 
 
 def _validate_right_pair(g: PCubeGraph, pair: ImbalancedPair) -> None:

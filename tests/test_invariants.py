@@ -139,6 +139,13 @@ class TestIrregularity:
         for n in range(6):
             assert irregularity_oracle(built(0, n)) == 0
 
+    def test_one_pass_closed_form_matches_edge_sums(self):
+        # the theorem as stated: twice the edge counts of the p previous lengths
+        for p in range(8):
+            for n in range(p, 91):
+                expected = 2 * sum(total_edges_closed(p, n - d) for d in range(1, p + 1))
+                assert irregularity_closed(p, n) == expected, (p, n)
+
     def test_below_threshold_refuses(self, built):
         with pytest.raises(ValueError):
             irregularity_closed(3, 2)
@@ -160,7 +167,7 @@ class TestImbalanceCensus:
         for p, n in GRID:
             g = built(p, n)
             records = imbalance_census(g)
-            assert sum(r.imbalance for r in records) == irregularity_oracle(g)
+            assert sum(len(r.pairs) for r in records) == irregularity_oracle(g)
             for r in records:
                 assert r.imbalance == len(r.pairs)
                 assert r.x == r.y.flip(r.direction)
@@ -170,11 +177,21 @@ class TestImbalanceCensus:
                     assert pair.y.flip(pair.j).bits in g.index
                     assert pair.x.flip(pair.j).bits not in g.index
 
+    def test_imbalance_keeps_its_sign(self, built, drop_edge):
+        # the square without 00-10: 00 and 10 lose a neighbour each, so
+        # deg y - deg x is -1 on 00-01 and 10-11
+        g = built(0, 2)
+        h = drop_edge(g, (0, g.index[PString.from01("10").bits], 1))
+        records = [(r.y.to01(), r.imbalance) for r in imbalance_census(h)]
+        assert records == [("00", -1), ("01", 0), ("10", -1)]
+
     def test_one_sided_neighbour_rule(self, built):
-        # a valid neighbour of the 1-endpoint forces one of the 0-endpoint
+        # a valid neighbour of the 1-endpoint forces one of the 0-endpoint;
+        # the direct scan is the reference for the census-derived conditions
+        # that verify reads: the signed degree gap and the largest offset
         for p, n in ((1, 7), (2, 7), (3, 8)):
             g = built(p, n)
-            for lo, hi, i in g.edges:
+            for (lo, hi, i), r in zip(g.edges, imbalance_census(g), strict=True):
                 x, y = g.vertices[hi], g.vertices[lo]
                 for j in range(1, n + 1):
                     x_ok = x.flip(j).bits in g.index
@@ -182,6 +199,9 @@ class TestImbalanceCensus:
                     assert not (x_ok and not y_ok)
                     if abs(i - j) > p:
                         assert x_ok == y_ok
+                gap = len(g.adjacency[lo]) - len(g.adjacency[hi])
+                assert r.imbalance == gap == len(r.pairs)
+                assert max((pair.offset for pair in r.pairs), default=0) <= p
 
     def test_pair_set_sizes(self, built):
         for p, n in GRID:

@@ -46,6 +46,7 @@ def bump_first_coefficient(series):
         ("wiener_closed", plus_one, "indices/wiener"),
         ("mostar_closed", plus_one, "indices/mostar"),
         ("irregularity_closed", plus_one, "irregularity/closed-form"),
+        ("total_edges_closed", plus_one, "irregularity/pair-set-sizes"),
         ("rational_gf", bump_last_coefficient, "gf/identities"),
         ("cube_poly_closed", plus_one, "gf/identities"),
         ("weight_poly", plus_one, "gf/identities"),
@@ -102,6 +103,67 @@ def test_dropped_edge_fails_cube_counts(capsys, without_first_edge):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL cubes/counts p=1: p=1 n=6 k=1: oracle=37 sum=38 " in out
+
+
+def test_dropped_edge_fails_imbalance_checks(capsys, without_first_edge):
+    # The pairs come from the vertex index, which keeps the edge, and the
+    # degrees from the adjacency lists, which lose it.
+    results = verify.run_suite("irregularity", [1], [6])
+    failed = {r.name for r in results if not r.passed}
+    assert {
+        "irregularity/imbalance-records p=1",
+        "irregularity/neighbour-propositions p=1",
+    } <= failed
+
+    code = cli.main(["verify", "irregularity", "--p", "1", "--n", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL irregularity/imbalance-records p=1: p=1 n=6: |pairs|=39 irr=30\n" in out
+    assert (
+        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6: edge at direction 6: "
+        "deg y - deg x = 0, pair offsets [1]\n"
+    ) in out
+
+
+def test_wider_gap_graph_fails_offset_rule(monkeypatch, capsys):
+    # The p = 2 cube checked as p = 1 keeps Proposition 1 but has pairs at
+    # offset 2, beyond p.
+    build = verify.build
+    monkeypatch.setattr(verify, "build", lambda p, m, **kwargs: build(p + 1, m, **kwargs))
+    code = cli.main(["verify", "irregularity", "--p", "1", "--n", "6"])
+    assert code == 1
+    assert (
+        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6: edge at direction 6: "
+        "deg y - deg x = 2, pair offsets [2, 1]\n"
+    ) in capsys.readouterr().out
+
+
+def swap_endpoints(project):
+    return lambda g, pair: project(g, pair)[::-1]
+
+
+def lift_one_further(lift):
+    return lambda n, d, hi, i: dataclasses.replace(lift(n, d, hi, i), j=i + d + 1)
+
+
+@pytest.mark.parametrize(
+    "step, fault, detail",
+    [
+        (
+            "project_pair",
+            swap_endpoints,
+            "p=2 n=4 d=1: projected edge is not in the smaller graph",
+        ),
+        ("lift_edge", lift_one_further, "p=2 n=4 d=1: lift does not round-trip the pair"),
+    ],
+)
+def test_broken_projection_fails_bijection(monkeypatch, capsys, step, fault, detail):
+    monkeypatch.setattr(verify, step, fault(getattr(verify, step)))
+    code = cli.main(["verify", "irregularity", "--p", "2", "--n", "4"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"FAIL irregularity/projection-bijection p=2: {detail}\n" in out
+    assert out.count("FAIL") == 1
 
 
 def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
