@@ -46,9 +46,6 @@ from .polynomials import (
 from .sequences import PFibTable, binomial, kfold_convolution, pfib
 from .series import (
     DEFAULT_ORDER,
-    BIVAR,
-    INTS,
-    POLYS,
     TruncatedSeries,
     pfib_series,
     rational_gf,

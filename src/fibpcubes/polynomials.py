@@ -1,8 +1,10 @@
 """Exact integer polynomials and the closed-form counting polynomials.
 
 Univariate polynomials are dense coefficient tuples; bivariate ones are
-sparse term tuples.  Degrees stay tiny while coefficients grow huge, so
-everything is exact int arithmetic.
+sparse term tuples.  Both share one ring rule: an int enters as a constant,
+and zero, one, subtraction, the reflected operators and powers are derived
+from each kind's const, +, unary - and *.  Degrees stay tiny while
+coefficients grow huge, so everything is exact int arithmetic.
 """
 
 from __future__ import annotations
@@ -16,16 +18,59 @@ from .strings import max_weight, weight_census
 NEG_INF = float("-inf")
 
 
-def _as_poly(value: object) -> "Polynomial | None":
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, int):
-        return Polynomial.const(value)
-    return None
+class RingElement:
+    """What both polynomial kinds share: how an int enters, and what follows.
+
+    A kind supplies ``const``, ``__add__``, ``__neg__`` and ``__mul__``; its
+    binary operators lift their other operand with ``_lift`` and return
+    NotImplemented for anything that is neither the kind nor an int.
+    """
+
+    @classmethod
+    def zero(cls) -> "RingElement":
+        return cls.const(0)
+
+    @classmethod
+    def one(cls) -> "RingElement":
+        return cls.const(1)
+
+    @classmethod
+    def _lift(cls, value: object) -> "RingElement | None":
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, int):
+            return cls.const(value)
+        return None
+
+    def __radd__(self, other: object) -> "RingElement":
+        return self.__add__(other)  # addition commutes
+
+    def __rmul__(self, other: object) -> "RingElement":
+        return self.__mul__(other)  # so does multiplication
+
+    def __sub__(self, other: object) -> "RingElement":
+        rhs = self._lift(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: object) -> "RingElement":
+        lhs = self._lift(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs + (-self)
+
+    def __pow__(self, exponent: int) -> "RingElement":
+        if exponent < 0:
+            raise ValueError(f"exponent must be non-negative, got {exponent}")
+        out = self.one()
+        for _ in range(exponent):  # plain iterated product, no binomial shortcut
+            out = out * self
+        return out
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(RingElement):
     """Dense integer polynomial; coeffs[k] multiplies x^k, no trailing zeros."""
 
     coeffs: tuple[int, ...] = ()
@@ -46,14 +91,6 @@ class Polynomial:
         return Polynomial((c,)) if c else Polynomial()
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return Polynomial((1,))
-
-    @staticmethod
     def x() -> "Polynomial":
         return Polynomial((0, 1))
 
@@ -65,7 +102,7 @@ class Polynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: object) -> "Polynomial":
-        rhs = _as_poly(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         a, b = self.coeffs, rhs.coeffs
@@ -76,25 +113,11 @@ class Polynomial:
             out[i] += v
         return Polynomial.from_coeffs(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: object) -> "Polynomial":
-        rhs = _as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "Polynomial":
-        rhs = _as_poly(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> "Polynomial":
-        rhs = _as_poly(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         if not self.coeffs or not rhs.coeffs:
@@ -105,16 +128,6 @@ class Polynomial:
                 for j, b in enumerate(rhs.coeffs):
                     out[i + j] += a * b
         return Polynomial.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        out = Polynomial.one()
-        for _ in range(exponent):  # plain iterated product, no binomial shortcut
-            out = out * self
-        return out
 
     def __call__(self, value: int) -> int:
         acc = 0
@@ -161,7 +174,7 @@ def _format_terms(terms: list[tuple[int, str]]) -> str:
 
 
 @dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(RingElement):
     """Sparse integer polynomial in x and q; terms are (xdeg, qdeg, coeff)."""
 
     terms: tuple[tuple[int, int, int], ...] = ()
@@ -184,29 +197,8 @@ class BivarPoly:
     def const(c: int) -> "BivarPoly":
         return BivarPoly(((0, 0, c),)) if c else BivarPoly()
 
-    @staticmethod
-    def zero() -> "BivarPoly":
-        return BivarPoly()
-
-    @staticmethod
-    def one() -> "BivarPoly":
-        return BivarPoly(((0, 0, 1),))
-
-    def coeff(self, k: int, d: int) -> int:
-        for xk, qd, c in self.terms:
-            if xk == k and qd == d:
-                return c
-        return 0
-
-    def _binary(self, other: object) -> "BivarPoly | None":
-        if isinstance(other, BivarPoly):
-            return other
-        if isinstance(other, int):
-            return BivarPoly.const(other)
-        return None
-
     def __add__(self, other: object) -> "BivarPoly":
-        rhs = self._binary(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         acc = self.as_dict()
@@ -214,25 +206,11 @@ class BivarPoly:
             acc[(k, d)] = acc.get((k, d), 0) + c
         return BivarPoly.from_dict(acc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "BivarPoly":
         return BivarPoly(tuple((k, d, -c) for k, d, c in self.terms))
 
-    def __sub__(self, other: object) -> "BivarPoly":
-        rhs = self._binary(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: object) -> "BivarPoly":
-        rhs = self._binary(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
     def __mul__(self, other: object) -> "BivarPoly":
-        rhs = self._binary(other)
+        rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
         acc: dict[tuple[int, int], int] = {}
@@ -241,16 +219,6 @@ class BivarPoly:
                 key = (k1 + k2, d1 + d2)
                 acc[key] = acc.get(key, 0) + c1 * c2
         return BivarPoly.from_dict(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "BivarPoly":
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        out = BivarPoly.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def swap(self) -> "BivarPoly":
         """Exchange the roles of x and q."""

@@ -1,10 +1,11 @@
 """Truncated formal power series in t over an exact coefficient ring.
 
-Coefficients may be ints, Polynomials, or BivarPolys; a ring is described
-by its zero and one.  One engine therefore serves every generating function
-checked here.  Arithmetic is exact and never consults orders beyond the
-truncation.  Every check here sets a series against a closed form or
-another series; none builds a graph.
+A series' ring is its coefficients' type: ints, Polynomials or BivarPolys,
+whose zero is the type called with no argument and whose one is that zero
+plus 1.  One engine therefore serves every generating function checked
+here.  Arithmetic is exact and never consults orders beyond the truncation.
+Every check here sets a series against a closed form or another series;
+none builds a graph.
 """
 
 from __future__ import annotations
@@ -12,28 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .polynomials import MARKERS, BivarPoly, Polynomial, cube_count_closed
+from .polynomials import MARKERS, Polynomial, cube_count_closed
 from .sequences import pfib
 
 DEFAULT_ORDER = 20
 
 
 @dataclass(frozen=True)
-class CoefficientRing:
-    zero: Any
-    one: Any
-
-
-INTS = CoefficientRing(0, 1)
-POLYS = CoefficientRing(Polynomial.zero(), Polynomial.one())
-BIVAR = CoefficientRing(BivarPoly.zero(), BivarPoly.one())
-
-
-@dataclass(frozen=True)
 class TruncatedSeries:
     """Power series in t with exactly order+1 stored coefficients."""
 
-    ring: CoefficientRing
     coeffs: tuple[Any, ...]
 
     @property
@@ -41,16 +30,14 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def from_coeffs(
-        ring: CoefficientRing, values: Sequence[Any], order: int
-    ) -> "TruncatedSeries":
+    def from_coeffs(ring: type, values: Sequence[Any], order: int) -> "TruncatedSeries":
         vals = list(values)[: order + 1]
-        vals.extend([ring.zero] * (order + 1 - len(vals)))
-        return TruncatedSeries(ring, tuple(vals))
+        vals.extend([ring()] * (order + 1 - len(vals)))
+        return TruncatedSeries(tuple(vals))
 
     @staticmethod
-    def one(ring: CoefficientRing, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(ring, [ring.one], order)
+    def one(ring: type, order: int) -> "TruncatedSeries":
+        return TruncatedSeries.from_coeffs(ring, [ring() + 1], order)
 
     def coeff(self, k: int) -> Any:
         if not 0 <= k <= self.order:
@@ -58,7 +45,7 @@ class TruncatedSeries:
         return self.coeffs[k]
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.ring != other.ring:
+        if type(self.coeffs[0]) is not type(other.coeffs[0]):
             raise ValueError("series over different coefficient rings")
         if self.order != other.order:
             raise ValueError(
@@ -70,35 +57,28 @@ class TruncatedSeries:
             return NotImplemented
         self._check_compatible(other)
         return TruncatedSeries(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.ring, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = [self.ring.zero] * (self.order + 1)
+        zero = type(self.coeffs[0])()
+        out = [zero] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
-            if a == self.ring.zero:
+            if a == zero:
                 continue
             for j in range(self.order + 1 - i):
                 b = other.coeffs[j]
-                if b != self.ring.zero:
+                if b != zero:
                     out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.ring, tuple(out))
+        return TruncatedSeries(tuple(out))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
-        out = TruncatedSeries.one(self.ring, self.order)
+        out = TruncatedSeries.one(type(self.coeffs[0]), self.order)
         for _ in range(exponent):
             out = out * self
         return out
@@ -108,50 +88,48 @@ class TruncatedSeries:
 
         Requires the constant coefficient to be the ring unit.
         """
-        if self.coeffs[0] != self.ring.one:
+        zero = type(self.coeffs[0])()
+        one = zero + 1
+        if self.coeffs[0] != one:
             raise ValueError("series inverse needs constant coefficient one")
-        terms = [
-            (i, c) for i, c in enumerate(self.coeffs) if i and c != self.ring.zero
-        ]
-        inv: list[Any] = [self.ring.one]
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and c != zero]
+        inv: list[Any] = [one]
         for m in range(1, self.order + 1):
-            acc = self.ring.zero
+            acc = zero
             for i, c in terms:
                 if i > m:
                     break
                 acc = acc + c * inv[m - i]
             inv.append(-acc)
-        return TruncatedSeries(self.ring, tuple(inv))
+        return TruncatedSeries(tuple(inv))
 
 
 def pfib_series(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The series whose t^n coefficient is F^p_n."""
     return TruncatedSeries.from_coeffs(
-        INTS, [pfib(p, i) for i in range(order + 1)], order
+        int, [pfib(p, i) for i in range(order + 1)], order
     )
 
 
-def gap_denominator(
-    ring: CoefficientRing, marker: Any, p: int, order: int
-) -> TruncatedSeries:
-    """The series 1 - t - marker * t^{p+1}, truncated at order."""
-    vals = [ring.zero] * (order + 1)
-    vals[0] = ring.one
+def gap_denominator(marker: Any, p: int, order: int) -> TruncatedSeries:
+    """The series 1 - t - marker * t^{p+1}, truncated at order.
+
+    Its ring is the marker's type.
+    """
+    vals = [type(marker)()] * (order + 1)
+    vals[0] = vals[0] + 1
     if order >= 1:
-        vals[1] = vals[1] - ring.one
+        vals[1] = vals[1] - 1
     if p + 1 <= order:
         vals[p + 1] = vals[p + 1] - marker
-    return TruncatedSeries(ring, tuple(vals))
+    return TruncatedSeries(tuple(vals))
 
 
-def _marked_rational(
-    ring: CoefficientRing, marker: Any, p: int, order: int
-) -> TruncatedSeries:
+def _marked_rational(marker: Any, p: int, order: int) -> TruncatedSeries:
     # (1 + marker*t + ... + marker*t^p) / (1 - t - marker*t^{p+1})
-    numerator = TruncatedSeries.from_coeffs(
-        ring, [ring.one] + [marker] * p, order
-    )
-    return numerator * gap_denominator(ring, marker, p, order).inverse()
+    ring = type(marker)
+    numerator = TruncatedSeries.from_coeffs(ring, [ring() + 1] + [marker] * p, order)
+    return numerator * gap_denominator(marker, p, order).inverse()
 
 
 def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -167,8 +145,7 @@ def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSerie
         marker = MARKERS[kind]
     except KeyError:
         raise ValueError(f"unknown generating function kind {kind!r}") from None
-    ring = BIVAR if isinstance(marker, BivarPoly) else POLYS
-    return _marked_rational(ring, marker, p, order)
+    return _marked_rational(marker, p, order)
 
 
 def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
@@ -181,8 +158,8 @@ def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
     y = MARKERS["weight"]
-    marked = _marked_rational(POLYS, y, p, order)
-    reciprocal = gap_denominator(POLYS, y, p, order + p).inverse()
+    marked = _marked_rational(y, p, order)
+    reciprocal = gap_denominator(y, p, order + p).inverse()
     for m in range(p):
         if reciprocal.coeff(m) != Polynomial.one():
             return False
@@ -202,7 +179,7 @@ def verify_cube_count_gf(p: int, k: int, order: int = DEFAULT_ORDER) -> bool:
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     exponent = k * p - p + k
-    powered = gap_denominator(INTS, 1, p, order + p).inverse() ** (k + 1)
+    powered = gap_denominator(1, p, order + p).inverse() ** (k + 1)
     return all(
         (powered.coeff(n - exponent) if n >= exponent else 0)
         == cube_count_closed(p, n, k)

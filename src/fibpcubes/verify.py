@@ -58,7 +58,6 @@ from .polynomials import (
 from .sequences import kfold_convolution, pfib
 from .series import (
     DEFAULT_ORDER,
-    INTS,
     TruncatedSeries,
     gap_denominator,
     pfib_series,
@@ -237,8 +236,8 @@ def closed_poly(kind: str, p: int, n: int) -> Polynomial | BivarPoly:
 
 def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
     out = bad["identities"]
-    denom = gap_denominator(INTS, 1, p, order)
-    t_series = TruncatedSeries.from_coeffs(INTS, [0, 1], order)
+    denom = gap_denominator(1, p, order)
+    t_series = TruncatedSeries.from_coeffs(int, [0, 1], order)
     if pfib_series(p, order) * denom != t_series:
         out.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
     gfs = {kind: rational_gf(p, kind, order) for kind in MARKERS}

@@ -1,4 +1,5 @@
 import json
+import operator
 
 import pytest
 from hypothesis import given
@@ -129,6 +130,41 @@ class TestBivarPoly:
         assert BivarPoly.from_dict(parsed) == f
 
 
+ONE_OF_EACH_KIND = [Polynomial.from_coeffs([1, 2]), XQ]
+KIND_IDS = ["Polynomial", "BivarPoly"]
+
+
+class TestRingRule:
+    @pytest.mark.parametrize("f", ONE_OF_EACH_KIND, ids=KIND_IDS)
+    def test_int_on_either_side(self, f):
+        kind = type(f)
+        three = kind.const(3)
+        assert f + 3 == 3 + f == f + three
+        assert (f - 3) + three == f
+        assert (3 - f) + f == three
+        assert f - f == kind.zero()
+        assert f * 3 == 3 * f == f + f + f
+        assert f * 0 == 0 * f == kind.zero()
+
+    @pytest.mark.parametrize("f", ONE_OF_EACH_KIND, ids=KIND_IDS)
+    def test_powers(self, f):
+        assert f**0 == type(f).one()
+        assert f**3 == f * f * f
+        with pytest.raises(ValueError):
+            f**-1
+
+    @pytest.mark.parametrize(
+        "f, other", zip(ONE_OF_EACH_KIND, ONE_OF_EACH_KIND[::-1]), ids=KIND_IDS
+    )
+    def test_kinds_do_not_mix(self, f, other):
+        for operand in (other, 1.5):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(f, operand)
+                with pytest.raises(TypeError):
+                    op(operand, f)
+
+
 class TestClosedForms:
     def test_cube_poly_examples(self):
         assert cube_poly_closed(1, 3) == Polynomial.from_coeffs([5, 5, 1])
@@ -160,7 +196,7 @@ class TestClosedForms:
 
     def test_dist_poly_examples(self):
         d = dist_cube_poly_closed(1, 3)
-        assert d.coeff(1, 1) == 2
+        assert d.as_dict().get((1, 1), 0) == 2
         base = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
         assert dist_cube_poly_closed(2, 4) == 1 + 4 * base + base**2
         one_x_q = BivarPoly.from_dict({(0, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -172,9 +208,10 @@ class TestClosedForms:
             for n in range(11):
                 d = dist_cube_poly_closed(p, n)
                 top = max_weight(p, n)
+                terms = d.as_dict()
                 for k in range(top + 2):
                     for dd in range(top + 2):
-                        assert d.coeff(k, dd) == dist_cube_count_closed(p, n, k, dd)
+                        assert terms.get((k, dd), 0) == dist_cube_count_closed(p, n, k, dd)
                 # setting q = 0 keeps only bottom-at-origin cubes
                 at_zero = at_q(d, 0)
                 for k in range(top + 1):

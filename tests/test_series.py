@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fibpcubes.polynomials import (
+    MARKERS,
+    BivarPoly,
     Polynomial,
     cube_poly_closed,
     dist_cube_poly_closed,
@@ -10,9 +12,6 @@ from fibpcubes.polynomials import (
 )
 from fibpcubes.sequences import pfib
 from fibpcubes.series import (
-    BIVAR,
-    INTS,
-    POLYS,
     TruncatedSeries,
     gap_denominator,
     pfib_series,
@@ -22,15 +21,15 @@ from fibpcubes.series import (
 )
 
 int_series = st.lists(st.integers(-9, 9), max_size=7).map(
-    lambda v: TruncatedSeries.from_coeffs(INTS, v, 6)
+    lambda v: TruncatedSeries.from_coeffs(int, v, 6)
 )
 unit_series = st.lists(st.integers(-9, 9), max_size=6).map(
-    lambda v: TruncatedSeries.from_coeffs(INTS, [1] + v, 6)
+    lambda v: TruncatedSeries.from_coeffs(int, [1] + v, 6)
 )
 
 
 def ints(values, order):
-    return TruncatedSeries.from_coeffs(INTS, values, order)
+    return TruncatedSeries.from_coeffs(int, values, order)
 
 
 class TestArithmetic:
@@ -59,7 +58,7 @@ class TestArithmetic:
     def test_ring_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ints([1], 3) + TruncatedSeries.from_coeffs(
-                POLYS, [Polynomial.one()], 3
+                Polynomial, [Polynomial.one()], 3
             )
 
     def test_coeff_bounds(self):
@@ -93,14 +92,14 @@ class TestInverse:
     @given(unit_series)
     def test_involution(self, a):
         assert a.inverse().inverse() == a
-        assert a * a.inverse() == TruncatedSeries.one(INTS, a.order)
+        assert a * a.inverse() == TruncatedSeries.one(int, a.order)
 
 
 class TestSequenceSeries:
     def test_defining_identity(self):
         t = ints([0, 1], 30)
         for p in range(5):
-            assert pfib_series(p, 30) * gap_denominator(INTS, 1, p, 30) == t
+            assert pfib_series(p, 30) * gap_denominator(1, p, 30) == t
 
     def test_coefficients(self):
         s = pfib_series(2, 10)
@@ -121,7 +120,15 @@ class TestRationalGF:
         ):
             for p in range(4):
                 assert rational_gf(p, kind, 6).coeff(0) == ring_one
-        assert rational_gf(2, "distance", 6).coeff(0) == BIVAR.one
+        assert rational_gf(2, "distance", 6).coeff(0) == BivarPoly.one()
+
+    def test_ring_is_the_coefficient_type(self):
+        for p in range(4):
+            for kind, marker in MARKERS.items():
+                types = {type(c) for c in rational_gf(p, kind, 12).coeffs}
+                assert types == {type(marker)}
+            assert {type(c) for c in gap_denominator(1, p, 12).coeffs} == {int}
+            assert {type(c) for c in pfib_series(p, 12).coeffs} == {int}
 
     def test_matches_closed_polynomials(self):
         for p in range(4):
@@ -164,7 +171,7 @@ class TestIdentityChecks:
     def test_cube_count_gf_known_coefficient(self):
         # the dimension-1 series t R^2, R = 1/(1 - t - t^2), counts edges:
         # 5 of them at (p, n) = (1, 3), so [t^2] R^2 = 5
-        squared = gap_denominator(INTS, 1, 1, 12).inverse() ** 2
+        squared = gap_denominator(1, 1, 12).inverse() ** 2
         assert squared.coeff(3 - 1) == 5
 
     def test_rejects_negative_k(self):
