@@ -19,8 +19,7 @@ from .graph import (
     total_edges_closed,
 )
 from .invariants import (
-    EdgeImbalance,
-    ImbalancedPair,
+    ImbalanceRow,
     imbalance_census,
     irregularity_closed,
     irregularity_oracle,

@@ -229,8 +229,12 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.output == "-":
         sys.stdout.write(payload)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ the bitset of vertex ids that top an induced cube on S, and grows S only by
 a coordinate i below its smallest one: a top of S ∪ {i} is a top of S that
 is the upper endpoint of a direction-i edge whose lower endpoint also tops
 S.  Every cube is thus two present smaller cubes joined by real edges.  The
-edge lists give each direction's id offset between endpoints; the walk
-reads them, and refuses a direction whose edges disagree, rather than
+edge lists give each direction's id offset; the walk reads them through
+``direction_shifts``, refusing a direction whose edges disagree, rather than
 assume the offsets the closed forms imply.  The census counts Σ_v
 2^weight(v) supports, known from the weight census before any graph
 exists, and refuses a length where that exceeds ``CENSUS_LIMIT``.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SizeLimitError
-from .graph import PCubeGraph
+from .graph import PCubeGraph, bitset_ids, direction_shifts
 from .strings import PString, weight_census
 
 # Most supports the census counts: 3^n at p = 0, so it admits n = 13 and
@@ -62,14 +62,7 @@ def _induced_tops(g: PCubeGraph) -> Iterator[tuple[tuple[int, ...], int]]:
     ascending and 1-based.  The walk is depth-first and keeps only the
     supports it has yet to grow.
     """
-    shifts = []  # (direction, bitset of lower endpoints, id offset)
-    for i in range(1, g.n + 1):
-        edges = g.edges_by_direction[i]
-        offsets = {hi - lo for lo, hi, _ in edges}
-        if len(offsets) > 1:
-            raise ValueError(f"direction {i} edges have id offsets {sorted(offsets)}")
-        if edges:
-            shifts.append((i, sum(1 << lo for lo, _, _ in edges), offsets.pop()))
+    shifts = direction_shifts(g)
     stack: list[tuple[tuple[int, ...], int]] = [((), (1 << g.vertex_count) - 1)]
     while stack:
         support, tops = stack.pop()
@@ -93,10 +86,8 @@ def enumerate_cubes(g: PCubeGraph, k: int) -> list[InducedCube]:
         if len(support) != k:
             continue
         mask = sum(1 << (n - i) for i in support)
-        while tops:
-            low = tops & -tops
-            tops ^= low
-            top = g.vertices[low.bit_length() - 1]
+        for vid in bitset_ids(tops):
+            top = g.vertices[vid]
             found.append(InducedCube(top, PString(n, top.bits ^ mask), support))
     found.sort(key=lambda c: (c.top.bits, c.support))
     return found

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import SizeLimitError
 from .sequences import pfib, pfib_table
@@ -116,6 +117,31 @@ def direction_edge_count(g: PCubeGraph, i: int) -> int:
     if not 1 <= i <= g.n:
         raise ValueError(f"direction {i} outside [1, {g.n}]")
     return len(g.edges_by_direction[i])
+
+
+def bitset_ids(bits: int) -> tuple[int, ...]:
+    """The ids in a bitset, ascending, without copying the int once per id."""
+    digits = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return tuple(compress(range(len(digits)), digits))
+
+
+def direction_shifts(g: PCubeGraph) -> list[tuple[int, int, int]]:
+    """(direction, bitset of lower-endpoint ids, id offset) per direction with edges.
+
+    Refuses with ValueError a direction whose edges disagree on the offset.
+    """
+    shifts = []
+    for i in range(1, g.n + 1):
+        edges = g.edges_by_direction[i]
+        offsets = {hi - lo for lo, hi, _ in edges}
+        if len(offsets) > 1:
+            raise ValueError(f"direction {i} edges have id offsets {sorted(offsets)}")
+        if edges:  # the lower endpoints as binary digits, id v at digit -1 - v
+            digits = bytearray(b"0" * g.vertex_count)
+            for lo, _, _ in edges:
+                digits[-1 - lo] = ord("1")
+            shifts.append((i, int(digits, 2), offsets.pop()))
+    return shifts
 
 
 def direction_edge_count_closed(p: int, n: int, i: int) -> int:

@@ -9,21 +9,26 @@ are refused with ``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
 The oracle side never uses the direction structure that the closed forms
 rely on.
 
-Irregularity rests on one scan of (edge, direction) pairs,
-``imbalance_census``, and its records fill every irregularity check: the
-pairs number irr; each record's signed degree gap is its pair count
-(Proposition 1) and its offsets stay within p (Proposition 2); the pairs
+Irregularity rests on one census over ordered direction pairs (i, j),
+``imbalance_census``, computed on bitsets of vertex ids, and its rows fill
+every irregularity check: the pairs number irr; no row has an unforced
+edge (Proposition 1) or pairs beyond offset p (Proposition 2); the pairs
 at offset d number |E(n - d)| a side and project onto that graph's edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .graph import PCubeGraph, bfs_distances, direction_edge_counts_closed
+from .graph import (
+    PCubeGraph,
+    bfs_distances,
+    bitset_ids,
+    direction_edge_counts_closed,
+    direction_shifts,
+)
 from .sequences import pfib
-from .strings import PString
 
 
 def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
@@ -95,136 +100,74 @@ def irregularity_closed(p: int, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ImbalancedPair:
-    """An edge y(y + delta_j) witnessing a missing neighbour of x.
+class ImbalanceRow(NamedTuple):
+    """The direction-i edges xy, x carrying the 1 at i, seen at direction j."""
 
-    Here e = xy is an edge with x carrying the 1 at its direction i, and
-    x + delta_j is not a vertex while y + delta_j is.
-    """
-
-    x: PString
-    y: PString
     i: int
     j: int
-
-    @property
-    def offset(self) -> int:
-        return abs(self.i - self.j)
-
-    @property
-    def side(self) -> str:
-        return "right" if self.j > self.i else "left"
+    pairs: tuple[int, ...]  # ascending ids y with a j-edge where x has none
+    unforced: int  # edges where x has a j-edge and y none: 0 by Proposition 1
 
 
-@dataclass(frozen=True)
-class EdgeImbalance:
-    """Imbalance record of one edge, oriented 1-endpoint first.
+def imbalance_census(g: PCubeGraph) -> list[ImbalanceRow]:
+    """The rows (i, j), i != j, with pairs or unforced edges, in (i, j) order.
 
-    imbalance is deg y - deg x, sign kept: the j at which only y + delta_j
-    is a vertex (the pairs) less those at which only x + delta_j is.
+    From ``direction_shifts``, which may refuse: has_j = lows_j | lows_j <<
+    off_j holds the ids with a j-edge, and has_j >> off_i the y whose x has one.
     """
+    shifts = direction_shifts(g)
+    has = [(j, lows | lows << off) for j, lows, off in shifts]
+    rows = []
+    for i, lows, off in shifts:
+        for j, has_j in has:  # (i, i) reports nothing: y and x have their i-edge
+            at_x = has_j >> off
+            pairs = bitset_ids(lows & has_j & ~at_x)
+            unforced = (lows & at_x & ~has_j).bit_count()
+            if pairs or unforced:
+                rows.append(ImbalanceRow(i, j, pairs, unforced))
+    return rows
 
-    x: PString
-    y: PString
-    direction: int
-    imbalance: int
-    pairs: tuple[ImbalancedPair, ...]
+
+def right_pairs(census: list[ImbalanceRow], d: int) -> list[tuple[int, int]]:
+    """(i, y) for the pairs whose direction j sits d places right of i."""
+    return [(r.i, y) for r in census if r.j - r.i == d for y in r.pairs]
 
 
-def imbalance_census(g: PCubeGraph) -> list[EdgeImbalance]:
-    """For every edge, the imbalanced edges at its low endpoint.
+def left_pairs(census: list[ImbalanceRow], d: int) -> list[tuple[int, int]]:
+    """(i, y) for the pairs whose direction j sits d places left of i."""
+    return [(r.i, y) for r in census if r.i - r.j == d for y in r.pairs]
 
-    Records are ordered like g.edges; each record's pair list is ordered by
-    the direction j of the witnessing edge.
+
+def project_pair(g: PCubeGraph, i: int, j: int, x: int) -> tuple[int, int]:
+    """Project the right pair (i, j, x) to the (p, n - d) edge at i, d = j - i.
+
+    x is the packed 1-endpoint; its coordinates i+1 .. j, all 0, are dropped.
+    Returns the packed oriented edge (with-1, without-1).
     """
-    records: list[EdgeImbalance] = []
     n = g.n
-    for lo, hi, i in g.edges:
-        x = g.vertices[hi]
-        y = g.vertices[lo]
-        pairs: list[ImbalancedPair] = []
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            mask = 1 << (n - j)
-            if (y.bits ^ mask) in g.index and (x.bits ^ mask) not in g.index:
-                pairs.append(ImbalancedPair(x, y, i, j))
-        imbalance = len(g.adjacency[lo]) - len(g.adjacency[hi])
-        records.append(EdgeImbalance(x, y, i, imbalance, tuple(pairs)))
-    return records
-
-
-def _pairs_at(records: list[EdgeImbalance], side: str, d: int) -> list[ImbalancedPair]:
-    return [
-        pair
-        for record in records
-        for pair in record.pairs
-        if pair.side == side and pair.offset == d
-    ]
-
-
-def right_pairs(records: list[EdgeImbalance], d: int) -> list[ImbalancedPair]:
-    """The pairs whose witnessing direction sits d places right of the edge's."""
-    return _pairs_at(records, "right", d)
-
-
-def left_pairs(records: list[EdgeImbalance], d: int) -> list[ImbalancedPair]:
-    """The pairs whose witnessing direction sits d places left of the edge's."""
-    return _pairs_at(records, "left", d)
-
-
-def _validate_right_pair(g: PCubeGraph, pair: ImbalancedPair) -> None:
-    n = g.n
-    d = pair.j - pair.i
-    if d < 1:
-        raise ValueError("pair is not right-sided")
-    if not (1 <= pair.i <= n and pair.j <= n):
-        raise ValueError("pair directions outside the graph")
-    if pair.x.bit(pair.i) != 1 or pair.y != pair.x.flip(pair.i):
-        raise ValueError("pair endpoints are not an oriented edge")
-    if pair.x.bits not in g.index or pair.y.bits not in g.index:
-        raise ValueError("pair endpoints are not vertices")
-    mask = 1 << (n - pair.j)
-    if (pair.y.bits ^ mask) not in g.index:
+    if not 1 <= i < j <= n:
+        raise ValueError(f"directions ({i}, {j}) are not a right pair in [1, {n}]")
+    mask_i, mask_j = 1 << (n - i), 1 << (n - j)
+    if not x & mask_i or x not in g.index or x ^ mask_i not in g.index:
+        raise ValueError("pair endpoints are not an oriented edge of the graph")
+    if x ^ mask_i ^ mask_j not in g.index:
         raise ValueError("witnessing edge is missing from the graph")
-    if (pair.x.bits ^ mask) in g.index:
+    if x ^ mask_j in g.index:
         raise ValueError("pair is not imbalanced: x + delta_j is a vertex")
+    keep_low = n - j  # coordinates j+1 .. n survive unchanged
+    hi = (x >> (n - i) << keep_low) | (x & ((1 << keep_low) - 1))
+    return hi, hi ^ (1 << keep_low)
 
 
-def project_pair(g: PCubeGraph, pair: ImbalancedPair) -> tuple[PString, PString]:
-    """Project a right-sided pair down to an edge d coordinates shorter.
+def lift_edge(n: int, d: int, hi: int, i: int) -> int:
+    """The x of the one right pair (i, i + d, x) that projects to a given edge.
 
-    Coordinates i+1 .. i+d of the 1-endpoint are dropped (they are all 0);
-    the result is the oriented edge (with-1, without-1) of the (p, n-d)
-    graph at direction i.
+    hi is the packed (p, n - d) endpoint carrying the 1 at direction i; the
+    lift inserts d zeros after coordinate i.
     """
-    _validate_right_pair(g, pair)
-    n = g.n
-    i = pair.i
-    d = pair.j - pair.i
-    keep_low = n - i - d  # coordinates i+d+1 .. n survive unchanged
-    suffix = pair.x.bits & ((1 << keep_low) - 1)
-    prefix = pair.x.bits >> (n - i)
-    hi_bits = (prefix << keep_low) | suffix
-    hi = PString(n - d, hi_bits)
-    return hi, PString(n - d, hi_bits ^ (1 << keep_low))
-
-
-def lift_edge(n: int, d: int, hi: PString, i: int) -> ImbalancedPair:
-    """Rebuild the unique right-sided pair projecting to a given edge.
-
-    The edge lives in the (p, n-d) graph, oriented so hi carries the 1 at
-    direction i; the lift inserts d zeros after coordinate i and moves the
-    1 across them for the low endpoint.
-    """
-    m = hi.n
-    if m != n - d:
-        raise ValueError(f"edge length {m} does not match n - d = {n - d}")
-    if hi.bit(i) != 1:
-        raise ValueError(f"coordinate {i} of {hi!r} is not 1")
-    prefix = hi.bits >> (m - i)
-    suffix = hi.bits & ((1 << (m - i)) - 1)
-    x = PString(n, (prefix << (n - i)) | suffix)
-    y = x.flip(i)
-    return ImbalancedPair(x, y, i, i + d)
+    m = n - d
+    if not 0 <= hi < 1 << m:
+        raise ValueError(f"edge {hi:b} does not fit n - d = {m} coordinates")
+    if not (1 <= i <= m and hi >> (m - i) & 1):
+        raise ValueError(f"coordinate {i} of the edge is not 1")
+    return (hi >> (m - i) << (n - i)) | (hi & ((1 << (m - i)) - 1))

@@ -55,21 +55,13 @@ class PString:
 
     def bit(self, i: int) -> int:
         """Coordinate u_i, 1-indexed from the left."""
-        self._check_coord(i)
+        if not 1 <= i <= self.n:
+            raise ValueError(f"coordinate {i} outside [1, {self.n}]")
         return (self.bits >> (self.n - i)) & 1
-
-    def flip(self, i: int) -> "PString":
-        """The string differing from this one exactly at coordinate i."""
-        self._check_coord(i)
-        return PString(self.n, self.bits ^ (1 << (self.n - i)))
 
     def ones(self) -> tuple[int, ...]:
         """The coordinates carrying a 1, ascending and 1-based."""
         return tuple(i for i in range(1, self.n + 1) if (self.bits >> (self.n - i)) & 1)
-
-    def _check_coord(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} outside [1, {self.n}]")
 
 
 def _check_params(p: int, n: int) -> None:

@@ -305,6 +305,14 @@ class TestExport:
         assert code == 0 and out == ""
         assert path.read_text().startswith("graph pcube_p1_n3 {")
 
+    @pytest.mark.parametrize("target", ["missing/graph.dot", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "export", "--p", "1", "--n", "3",
+                             "--output", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "export", "--p", "2", "--n", "24", "--cap", "20")
         assert code == 3 and "cap" in err

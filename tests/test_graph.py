@@ -128,7 +128,7 @@ def test_connected_and_bipartite(built):
             assert all(d >= 0 for d in bfs_distances(g, 0))
             for lo, hi, i in g.edges:
                 assert g.vertices[hi].weight == g.vertices[lo].weight + 1
-                assert g.vertices[hi] == g.vertices[lo].flip(i)
+                assert g.vertices[hi].bits == g.vertices[lo].bits | 1 << (n - i)
             assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
 
 

@@ -1,8 +1,10 @@
+from collections import Counter, defaultdict
+
 import pytest
 
 from fibpcubes.graph import build, direction_edge_count_closed, total_edges_closed
 from fibpcubes.invariants import (
-    ImbalancedPair,
+    ImbalanceRow,
     all_pairs_distances,
     imbalance_census,
     irregularity_closed,
@@ -153,135 +155,155 @@ class TestIrregularity:
         assert irregularity_oracle(built(3, 2)) == 2
 
 
+def scanned_rows(g):
+    """The census found the direct way: every edge against every direction j.
+
+    x is the edge's 1-endpoint and y its 0-endpoint; whether each has a
+    j-neighbour is looked up in the vertex index, not in the edge lists.
+    """
+    pairs, unforced = defaultdict(list), Counter()
+    for lo, hi, i in g.edges:
+        x, y = g.vertices[hi].bits, g.vertices[lo].bits
+        for j in range(1, g.n + 1):
+            mask = 1 << (g.n - j)
+            x_ok, y_ok = x ^ mask in g.index, y ^ mask in g.index
+            if j != i and y_ok and not x_ok:
+                pairs[i, j].append(lo)
+            if j != i and x_ok and not y_ok:
+                unforced[i, j] += 1
+    return [
+        ImbalanceRow(i, j, tuple(sorted(pairs[i, j])), unforced[i, j])
+        for i, j in sorted(set(pairs) | set(unforced))
+    ]
+
+
 class TestImbalanceCensus:
     def test_worked_example(self, built):
+        # the edge 000-010 (ids 0 and 2, direction 2) has pairs at j = 3 and 1
         g = built(1, 3)
-        records = imbalance_census(g)
-        record = next(r for r in records if r.x == PString.from01("010"))
-        assert record.direction == 2
-        assert record.imbalance == 2 == len(record.pairs)
-        witnessed = {(pair.j, pair.side, pair.offset) for pair in record.pairs}
-        assert witnessed == {(3, "right", 1), (1, "left", 1)}
+        census = imbalance_census(g)
+        assert [(r.i, r.j) for r in census if 0 in r.pairs and r.i == 2] == [
+            (2, 1),
+            (2, 3),
+        ]
+        assert (2, 0) in right_pairs(census, 1)
+        assert (2, 0) in left_pairs(census, 1)
 
     def test_records_consistent(self, built):
         for p, n in GRID:
             g = built(p, n)
-            records = imbalance_census(g)
-            assert sum(len(r.pairs) for r in records) == irregularity_oracle(g)
-            for r in records:
-                assert r.imbalance == len(r.pairs)
-                assert r.x == r.y.flip(r.direction)
-                assert r.x.bit(r.direction) == 1
-                for pair in r.pairs:
-                    assert 1 <= pair.offset <= p
-                    assert pair.y.flip(pair.j).bits in g.index
-                    assert pair.x.flip(pair.j).bits not in g.index
+            census = imbalance_census(g)
+            assert census == scanned_rows(g), (p, n)
+            assert sum(len(r.pairs) for r in census) == irregularity_oracle(g)
+            for r in census:
+                assert r.i != r.j
+                assert r.unforced == 0
+                assert 1 <= abs(r.i - r.j) <= p
+                assert r.pairs and list(r.pairs) == sorted(set(r.pairs))
 
     def test_imbalance_keeps_its_sign(self, built, drop_edge):
-        # the square without 00-10: 00 and 10 lose a neighbour each, so
-        # deg y - deg x is -1 on 00-01 and 10-11
+        # the square without 00-10: 00 and 10 lose their direction-1
+        # neighbour while 01 and 11 keep theirs, so deg y - deg x is -1 on
+        # the edges 00-01 and 10-11, two unforced edges at (2, 1)
         g = built(0, 2)
         h = drop_edge(g, (0, g.index[PString.from01("10").bits], 1))
-        records = [(r.y.to01(), r.imbalance) for r in imbalance_census(h)]
-        assert records == [("00", -1), ("01", 0), ("10", -1)]
+        assert imbalance_census(h) == [ImbalanceRow(2, 1, (), 2)]
+        gaps = sum(len(h.adjacency[lo]) - len(h.adjacency[hi]) for lo, hi, _ in h.edges)
+        assert gaps == -2
 
     def test_one_sided_neighbour_rule(self, built):
-        # a valid neighbour of the 1-endpoint forces one of the 0-endpoint;
-        # the direct scan is the reference for the census-derived conditions
-        # that verify reads: the signed degree gap and the largest offset
-        for p, n in ((1, 7), (2, 7), (3, 8)):
+        # a valid neighbour of the 1-endpoint forces one of the 0-endpoint
+        # (no unforced edges), the two sides agree beyond offset p, and each
+        # edge's signed degree gap is its number of pairs
+        for p, n in GRID + [(1, 7), (2, 7), (3, 8)]:
             g = built(p, n)
-            for (lo, hi, i), r in zip(g.edges, imbalance_census(g), strict=True):
-                x, y = g.vertices[hi], g.vertices[lo]
-                for j in range(1, n + 1):
-                    x_ok = x.flip(j).bits in g.index
-                    y_ok = y.flip(j).bits in g.index
-                    assert not (x_ok and not y_ok)
-                    if abs(i - j) > p:
-                        assert x_ok == y_ok
+            rows = scanned_rows(g)
+            assert all(r.unforced == 0 and abs(r.i - r.j) <= p for r in rows)
+            per_edge = Counter((r.i, y) for r in rows for y in r.pairs)
+            for lo, hi, i in g.edges:
                 gap = len(g.adjacency[lo]) - len(g.adjacency[hi])
-                assert r.imbalance == gap == len(r.pairs)
-                assert max((pair.offset for pair in r.pairs), default=0) <= p
+                assert gap == per_edge[i, lo]
 
     def test_pair_set_sizes(self, built):
         for p, n in GRID:
             if n < p:
                 continue
-            records = imbalance_census(built(p, n))
+            census = imbalance_census(built(p, n))
             for d in range(1, p + 1):
                 expected = total_edges_closed(p, n - d)
-                assert len(right_pairs(records, d)) == expected
-                assert len(left_pairs(records, d)) == expected
-                assert len(left_pairs(records, d)) == len(right_pairs(records, d))
+                assert len(right_pairs(census, d)) == expected
+                assert len(left_pairs(census, d)) == expected
 
     def test_sides_and_offsets_partition_the_pairs(self, built):
         for p, n in GRID:
-            records = imbalance_census(built(p, n))
-            total = sum(
-                len(right_pairs(records, d)) + len(left_pairs(records, d))
-                for d in range(1, p + 1)
-            )
-            assert total == sum(r.imbalance for r in records)
+            census = imbalance_census(built(p, n))
+            sides = Counter()
+            for d in range(1, p + 1):
+                sides.update(right_pairs(census, d))
+                sides.update(left_pairs(census, d))
+            assert sides == Counter((r.i, y) for r in census for y in r.pairs)
+
+
+def right_pair_points(g, d):
+    """(i, x) for each right pair at offset d, x the packed 1-endpoint."""
+    census = imbalance_census(g)
+    return [(i, g.vertices[y].bits | 1 << (g.n - i)) for i, y in right_pairs(census, d)]
 
 
 class TestProjection:
     def test_worked_example(self, built):
         g = built(1, 3)
-        pair = next(
-            pr
-            for pr in right_pairs(imbalance_census(g), 1)
-            if pr.x == PString.from01("010")
-        )
-        hi, lo = project_pair(g, pair)
-        assert (hi.to01(), lo.to01()) == ("01", "00")
-        assert lift_edge(3, 1, hi, pair.i) == pair
+        assert (2, 0b010) in right_pair_points(g, 1)
+        hi, lo = project_pair(g, 2, 3, 0b010)
+        assert (hi, lo) == (0b01, 0b00)  # the edge 01-00 of the (1, 2) graph
+        assert lift_edge(3, 1, hi, 2) == 0b010
 
     def test_bijection_round_trip(self, built):
         for p, n in GRID:
             if n < p:
                 continue
             g = built(p, n)
-            records = imbalance_census(g)
             for d in range(1, p + 1):
                 smaller = built(p, n - d)
                 target = {
-                    (smaller.vertices[hi], dirn) for _, hi, dirn in smaller.edges
+                    (smaller.vertices[hi].bits, dirn) for _, hi, dirn in smaller.edges
                 }
                 images = set()
-                for pair in right_pairs(records, d):
-                    hi, lo = project_pair(g, pair)
-                    assert lo == hi.flip(pair.i)
-                    assert (hi, pair.i) in target
-                    images.add((hi, pair.i))
-                    assert lift_edge(n, d, hi, pair.i) == pair
-                assert len(images) == len(right_pairs(records, d))
+                points = right_pair_points(g, d)
+                for i, x in points:
+                    hi, lo = project_pair(g, i, i + d, x)
+                    assert lo == hi ^ 1 << (n - d - i)
+                    assert (hi, i) in target
+                    images.add((hi, i))
+                    assert lift_edge(n, d, hi, i) == x
+                assert len(images) == len(points)
                 assert images == target
 
     def test_lift_produces_valid_pairs(self, built):
         for p, n, d in ((2, 6, 1), (2, 6, 2), (3, 7, 2)):
             g = built(p, n)
-            pair_set = set(right_pairs(imbalance_census(g), d))
+            points = set(right_pair_points(g, d))
             smaller = built(p, n - d)
             for _, hi_id, i in smaller.edges:
-                pair = lift_edge(n, d, smaller.vertices[hi_id], i)
-                assert pair in pair_set
+                x = lift_edge(n, d, smaller.vertices[hi_id].bits, i)
+                assert (i, x) in points
 
     def test_rejects_invalid_pairs(self, built):
         g = built(1, 3)
-        # a fabricated pair: the witnessing neighbour exists on both sides
-        fake = ImbalancedPair(
-            x=PString.from01("100"), y=PString.from01("000"), i=1, j=3
-        )
-        with pytest.raises(ValueError):
-            project_pair(g, fake)
-        left = ImbalancedPair(
-            x=PString.from01("010"), y=PString.from01("000"), i=2, j=1
-        )
-        with pytest.raises(ValueError):
-            project_pair(g, left)
+        for i, j, x in (
+            (1, 3, 0b100),  # the witnessing neighbour exists on both sides
+            (2, 1, 0b010),  # left-sided
+            (1, 2, 0b000),  # x does not carry the 1 at i
+            (1, 3, 0b110),  # x is not a vertex
+            (2, 4, 0b010),  # j beyond n
+        ):
+            with pytest.raises(ValueError):
+                project_pair(g, i, j, x)
 
     def test_lift_validates_input(self):
         with pytest.raises(ValueError):
-            lift_edge(3, 1, PString.from01("01"), 1)  # coordinate 1 is 0
+            lift_edge(3, 1, 0b01, 1)  # coordinate 1 is 0
         with pytest.raises(ValueError):
-            lift_edge(4, 1, PString.from01("01"), 2)  # wrong length
+            lift_edge(3, 1, 0b101, 1)  # longer than n - d
+        with pytest.raises(ValueError):
+            lift_edge(3, 1, 0b01, 3)  # direction beyond n - d

@@ -44,10 +44,6 @@ class TestPString:
         u = PString.from01("100")
         assert [u.bit(i) for i in (1, 2, 3)] == [1, 0, 0]
 
-    def test_flip(self):
-        assert PString.from01("100").flip(3).to01() == "101"
-        assert PString.from01("101").flip(1).to01() == "001"
-
     def test_ordering_is_lexicographic(self):
         texts = ["0011", "1100", "0000", "0101"]
         strings = sorted(PString.from01(t) for t in texts)
@@ -61,7 +57,7 @@ class TestPString:
         with pytest.raises(ValueError):
             PString.from01("10").bit(3)
         with pytest.raises(ValueError):
-            PString.from01("10").flip(0)
+            PString.from01("10").bit(0)
 
 
 class TestValidity:

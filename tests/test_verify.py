@@ -111,8 +111,8 @@ def test_dropped_edge_fails_cube_counts(capsys, without_first_edge):
 
 
 def test_dropped_edge_fails_imbalance_checks(capsys, without_first_edge):
-    # The pairs come from the vertex index, which keeps the edge, and the
-    # degrees from the adjacency lists, which lose it.
+    # The census reads the edge lists, where 000000 and 100000 lose their
+    # direction-1 neighbour while the 1-endpoints above them keep theirs.
     results = verify.run_suite("irregularity", [1], [6])
     failed = {r.name for r in results if not r.passed}
     assert {
@@ -123,10 +123,10 @@ def test_dropped_edge_fails_imbalance_checks(capsys, without_first_edge):
     code = cli.main(["verify", "irregularity", "--p", "1", "--n", "6"])
     assert code == 1
     out = capsys.readouterr().out
-    assert "FAIL irregularity/imbalance-records p=1: p=1 n=6: |pairs|=39 irr=30\n" in out
+    assert "FAIL irregularity/imbalance-records p=1: p=1 n=6: |pairs|=38 irr=30\n" in out
     assert (
-        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6: edge at direction 6: "
-        "deg y - deg x = 0, pair offsets [1]\n"
+        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6 i=3 j=1: "
+        "unforced=2 pairs=0 offset=2\n"
     ) in out
 
 
@@ -135,20 +135,25 @@ def test_wider_gap_graph_fails_offset_rule(monkeypatch, capsys):
     # offset 2, beyond p.
     build = verify.build
     monkeypatch.setattr(verify, "build", lambda p, m, **kwargs: build(p + 1, m, **kwargs))
+    results = verify.run_suite("irregularity", [1], [6])
+    assert "irregularity/neighbour-propositions p=1" in {
+        r.name for r in results if not r.passed
+    }
     code = cli.main(["verify", "irregularity", "--p", "1", "--n", "6"])
     assert code == 1
     assert (
-        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6: edge at direction 6: "
-        "deg y - deg x = 2, pair offsets [2, 1]\n"
+        "FAIL irregularity/neighbour-propositions p=1: p=1 n=6 i=1 j=3: "
+        "unforced=0 pairs=2 offset=2\n"
     ) in capsys.readouterr().out
 
 
 def swap_endpoints(project):
-    return lambda g, pair: project(g, pair)[::-1]
+    return lambda g, i, j, x: project(g, i, j, x)[::-1]
 
 
 def lift_one_further(lift):
-    return lambda n, d, hi, i: dataclasses.replace(lift(n, d, hi, i), j=i + d + 1)
+    # one zero too many after coordinate i: a pair witnessed at i + d + 1
+    return lambda n, d, hi, i: lift(n + 1, d + 1, hi, i)
 
 
 @pytest.mark.parametrize(
@@ -164,6 +169,10 @@ def lift_one_further(lift):
 )
 def test_broken_projection_fails_bijection(monkeypatch, capsys, step, fault, detail):
     monkeypatch.setattr(verify, step, fault(getattr(verify, step)))
+    results = verify.run_suite("irregularity", [2], [4])
+    assert [r.name for r in results if not r.passed] == [
+        "irregularity/projection-bijection p=2"
+    ]
     code = cli.main(["verify", "irregularity", "--p", "2", "--n", "4"])
     assert code == 1
     out = capsys.readouterr().out
@@ -206,3 +215,23 @@ def test_vertex_fault_fails_structure(monkeypatch, capsys, swap_vertices, fault,
     out = capsys.readouterr().out
     assert f"FAIL counts/structure p=1: {detail}\n" in out
     assert out.count("FAIL") == 1
+
+
+def test_census_refusal_fails_a_check(monkeypatch, capsys, swap_vertices):
+    # ids 1 and 2 swapped: direction 1 edges no longer share one id offset,
+    # which both censuses refuse; the refusal fails a check, not the run
+    build = verify.build
+    monkeypatch.setattr(
+        verify, "build", lambda p, m, **kwargs: swap_vertices(build(p, m, **kwargs), 1, 2)
+    )
+    refusal = "p=1 n=6: direction 1 edges have id offsets [12, 13, 14]\n"
+    for suite, check in (("cubes", "counts"), ("irregularity", "imbalance-records")):
+        code = cli.main(["verify", suite, "--p", "1", "--n", "6"])
+        assert code == 1
+        assert f"FAIL {suite}/{check} p=1: {refusal}" in capsys.readouterr().out
+    code = cli.main(["verify", "all", "--p", "1", "--n", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert f"FAIL cubes/counts p=1: {refusal}" in out
+    assert f"FAIL irregularity/imbalance-records p=1: {refusal}" in out
+    assert "FAIL counts/structure p=1: " in out
