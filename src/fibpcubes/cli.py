@@ -1,11 +1,11 @@
 """Command-line front end: counts, polynomials, verification, exports.
 
 Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 size
-limit exceeded.  The only bound on n is the ``--cap`` option of the
-commands that build graphs; the vertex, cube-census and distance-sweep
-limits belong to the modules that allocate the memory.  JSON payloads
-carry every number as a decimal string so that 64-bit consumers cannot
-silently overflow.
+limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE).  The only
+bound on n is the ``--cap`` option of the commands that build graphs; the
+vertex, cube-census and distance-sweep limits belong to the modules that
+allocate the memory.  JSON payloads carry every number as a decimal string
+so that 64-bit consumers cannot silently overflow.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .cubes import check_census_limit
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 # The default --cap: the largest n that verify, export and indices build.
 DEFAULT_CAP = 24
@@ -91,12 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--n-range", dest="n", type=_span, required=True, metavar="N[..N2]"
     )
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    count.set_defaults(run=cmd_count)
 
     poly = sub.add_parser("poly", help="print one counting polynomial")
     poly.add_argument("kind", choices=tuple(MARKERS))
     poly.add_argument("--p", type=_nonneg, required=True)
     poly.add_argument("--n", type=_nonneg, required=True)
     poly.add_argument("--format", choices=("text", "json"), default="text")
+    poly.set_defaults(run=cmd_poly)
 
     verify = sub.add_parser("verify", help="run closed-form vs oracle suites")
     verify.add_argument("suite", choices=CHOICES)
@@ -107,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--N", dest="order", type=_nonneg, default=DEFAULT_ORDER)
     verify.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     verify.add_argument("--format", choices=("text", "json"), default="text")
+    verify.set_defaults(run=cmd_verify)
 
     export = sub.add_parser("export", help="write the materialized graph")
     export.add_argument("--p", type=_nonneg, required=True)
@@ -114,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=("dot", "json"), default="dot")
     export.add_argument("--output", default="-", help="file path or - for stdout")
     export.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
+    export.set_defaults(run=cmd_export)
 
     indices = sub.add_parser(
         "indices", help="distance/degree invariants, closed and oracle"
@@ -122,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     indices.add_argument("--n", type=_nonneg, required=True)
     indices.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     indices.add_argument("--format", choices=("json", "text"), default="json")
+    indices.set_defaults(run=cmd_indices)
     return parser
 
 
@@ -151,19 +158,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
+        keys = ("p", "n", "vertices", "edges", "max_weight")
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["p", "n", "vertices", "edges", "max_weight", "weights"])
+        writer.writerow([*keys, "weights"])
         for row in rows:
-            writer.writerow(
-                [
-                    row["p"],
-                    row["n"],
-                    row["vertices"],
-                    row["edges"],
-                    row["max_weight"],
-                    " ".join(row["weight_census"]),
-                ]
-            )
+            writer.writerow([row[k] for k in keys] + [" ".join(row["weight_census"])])
     else:
         for row in rows:
             print(
@@ -303,15 +302,12 @@ def main(argv: "list[str] | None" = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "poly":
-            return cmd_poly(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "export":
-            return cmd_export(args)
-        return cmd_indices(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a reader that closed the pipe is found here
+        return code
+    except BrokenPipeError:  # the reader left; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -1,10 +1,11 @@
 """Exact integer polynomials and the closed-form counting polynomials.
 
 Univariate polynomials are dense coefficient tuples; bivariate ones are
-sparse term tuples.  Both share one ring rule: an int enters as a constant,
-and zero, one, subtraction, the reflected operators and powers are derived
-from each kind's const, +, unary - and *.  Degrees stay tiny while
-coefficients grow huge, so everything is exact int arithmetic.
+sparse term tuples, canonical because they come only from ``from_dict`` or
+from an operator built on it.  Both share one ring rule: an int enters as
+a constant, and zero, one, subtraction, the reflected operators and powers
+are derived from each kind's const, +, unary - and *.  Degrees stay tiny
+while coefficients grow huge, so everything is exact int arithmetic.
 """
 
 from __future__ import annotations
@@ -175,15 +176,13 @@ def _format_terms(terms: list[tuple[int, str]]) -> str:
 
 @dataclass(frozen=True)
 class BivarPoly(RingElement):
-    """Sparse integer polynomial in x and q; terms are (xdeg, qdeg, coeff)."""
+    """Sparse integer polynomial in x and q; terms are (xdeg, qdeg, coeff).
+
+    Terms come only from ``from_dict``, sorted by (xdeg, qdeg) with no zero,
+    or from an operator built on it (``const`` and ``-`` keep that form).
+    """
 
     terms: tuple[tuple[int, int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if any(c == 0 for _, _, c in self.terms):
-            raise ValueError("zero term stored; use from_dict")
-        if list(self.terms) != sorted(self.terms):
-            raise ValueError("terms out of canonical order; use from_dict")
 
     @staticmethod
     def from_dict(data: Mapping[tuple[int, int], int]) -> "BivarPoly":
@@ -202,8 +201,8 @@ class BivarPoly(RingElement):
         if rhs is None:
             return NotImplemented
         acc = self.as_dict()
-        for (k, d), c in rhs.as_dict().items():
-            acc[(k, d)] = acc.get((k, d), 0) + c
+        for k, d, c in rhs.terms:
+            acc[k, d] = acc.get((k, d), 0) + c
         return BivarPoly.from_dict(acc)
 
     def __neg__(self) -> "BivarPoly":

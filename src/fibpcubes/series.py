@@ -52,14 +52,6 @@ class TruncatedSeries:
                 f"truncation orders differ: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -73,8 +73,7 @@ def _check_params(p: int, n: int) -> None:
 
 def is_pvalid(u: PString, p: int) -> bool:
     """True when every two 1s of u are separated by at least p zeros."""
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
+    _check_params(p, u.n)
     bits = u.bits
     return all(not (bits & (bits >> d)) for d in range(1, p + 1))
 

@@ -317,36 +317,50 @@ def _irregularity_at(
     closed = irregularity_closed(p, n)
     if closed != oracle:
         bad["closed-form"].append(f"p={p} n={n}: oracle {oracle} closed {closed}")
-    for d in range(1, p + 1):
-        rp = right_pairs(census, d)
+    right = {d: right_pairs(census, d) for d in range(1, p + 1)}
+    for d, rp in right.items():
         lp = left_pairs(census, d)
         expected = total_edges_closed(p, n - d)
         if len(rp) != expected or len(lp) != expected:
             bad["pair-set-sizes"].append(
                 f"p={p} n={n} d={d}: |R|={len(rp)} |L|={len(lp)} expected {expected}"
             )
-        bad["projection-bijection"].extend(_projection_mismatches(g, rp, d))
+    bad["projection-bijection"].extend(_projection_mismatches(g, right))
 
 
-def _projection_mismatches(g: PCubeGraph, pairs: list, d: int) -> list[str]:
+def _projection_mismatches(g: PCubeGraph, right: dict[int, list]) -> list[str]:
+    # A pair that project_pair or lift_edge refuses is the first mismatch;
+    # every pair is projected, also past its offset's first mismatch.
+    found = []
+    for d, pairs in right.items():
+        try:
+            found.extend(_bijection_mismatches(g, d, pairs))
+        except ValueError as exc:
+            return [f"p={g.p} n={g.n} d={d}: {exc}"]
+    return found
+
+
+def _bijection_mismatches(g: PCubeGraph, d: int, pairs: list) -> list[str]:
     tag = f"p={g.p} n={g.n} d={d}"
     smaller = build(g.p, g.n - d)
     target = {(smaller.vertices[hi].bits, dirn) for _, hi, dirn in smaller.edges}
-    images = set()
+    images, found = set(), []
     for i, y in pairs:
         x = g.vertices[y].bits | 1 << (g.n - i)
         hi, _ = project_pair(g, i, i + d, x)
-        key = (hi, i)
-        if key not in target:
-            return [f"{tag}: projected edge is not in the smaller graph"]
-        if key in images:
-            return [f"{tag}: projection is not injective"]
-        images.add(key)
-        if lift_edge(g.n, d, hi, i) != x:
-            return [f"{tag}: lift does not round-trip the pair"]
-    if len(images) != len(target):
-        return [f"{tag}: image covers {len(images)} of {len(target)} edges"]
-    return []
+        if found:
+            continue  # only a refusal may still come, and it goes first
+        if (hi, i) not in target:
+            found.append(f"{tag}: projected edge is not in the smaller graph")
+        elif (hi, i) in images:
+            found.append(f"{tag}: projection is not injective")
+        else:
+            images.add((hi, i))
+            if lift_edge(g.n, d, hi, i) != x:
+                found.append(f"{tag}: lift does not round-trip the pair")
+    if not found and len(images) != len(target):
+        found.append(f"{tag}: image covers {len(images)} of {len(target)} edges")
+    return found
 
 
 # Suite name -> (check names in report order, filler), in the order `all`

@@ -41,12 +41,15 @@ def sweeps(monkeypatch):
     return calls
 
 
+# The environment of a child process that imports this checkout's package.
+SRC = str(Path(fibpcubes.__file__).parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))
+))
+
+
 def run_limited(*argv):
     """The CLI in a child process limited to 1.5 GB of address space and 30 s."""
-    src = str(Path(fibpcubes.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))
-    ))
     limit = 1_500_000 * 1024
 
     def cap_memory():
@@ -54,7 +57,7 @@ def run_limited(*argv):
 
     return subprocess.run(
         [sys.executable, "-m", "fibpcubes", *argv], capture_output=True,
-        text=True, env=env, preexec_fn=cap_memory, timeout=30,
+        text=True, env=CHILD_ENV, preexec_fn=cap_memory, timeout=30,
     )
 
 
@@ -280,6 +283,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "all", "--p", "1", "--n", "0..6")
         assert code == 0
         assert sweeps == [(1, n) for n in range(7)]
+
+
+def test_closed_stdout_is_not_an_error():
+    # About 730 KB of rows: more than a pipe buffer holds, so the writer is
+    # still writing when the reader goes.
+    with subprocess.Popen(
+        [sys.executable, "-m", "fibpcubes", "count", "--p", "1", "--n", "0..300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    ) as child:
+        assert child.stdout.readline().startswith(b"p=1 n=0 vertices=1 ")
+        child.stdout.close()
+        assert child.wait(timeout=30) == cli.EXIT_PIPE == 141
+        assert child.stderr.read() == b""
 
 
 class TestExport:

@@ -22,6 +22,10 @@ from fibpcubes.strings import max_weight
 
 coeff_lists = st.lists(st.integers(-50, 50), max_size=6)
 polys = coeff_lists.map(Polynomial.from_coeffs)
+# (k, d) -> coefficient, zeros included
+bivar_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=12
+)
 
 XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
 XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
@@ -97,10 +101,22 @@ class TestPolynomial:
 class TestBivarPoly:
     def test_construction(self):
         assert BivarPoly.from_dict({(1, 0): 0}).terms == ()
-        with pytest.raises(ValueError):
-            BivarPoly(((0, 0, 0),))
-        with pytest.raises(ValueError):
-            BivarPoly(((1, 0, 1), (0, 0, 1)))
+
+    @given(
+        bivar_dicts, bivar_dicts, st.integers(-3, 3), st.integers(0, 3),
+        st.integers(0, 3), st.integers(0, 9),
+    )
+    def test_every_result_is_canonical(self, fd, gd, c, e, p, n):
+        f, g = BivarPoly.from_dict(fd), BivarPoly.from_dict(gd)
+        assert BivarPoly.from_dict(dict(reversed(fd.items()))) == f
+        results = [
+            f, f + g, f - g, f + c, c + f, f - c, c - f, f * g, -f, f.swap(), f**e,
+            substitute(weight_poly(p, n), XQ),
+        ]
+        for h in results:
+            keys = [(k, d) for k, d, _ in h.terms]
+            assert keys == sorted(set(keys))
+            assert all(coefficient for _, _, coefficient in h.terms)
 
     def test_arithmetic(self):
         x = BivarPoly.from_dict({(1, 0): 1})

@@ -43,7 +43,6 @@ class TestArithmetic:
         a = ints([1, 1], 2)
         b = ints([1, -1], 2)
         assert a * b == ints([1, 0, -1], 2)
-        assert a + b == ints([2], 2)
 
     def test_mul_truncates(self):
         a = ints([0, 1], 2)
@@ -51,13 +50,13 @@ class TestArithmetic:
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ints([1], 3) + ints([1], 4)
-        with pytest.raises(ValueError):
             ints([1], 3) * ints([1], 4)
+        with pytest.raises(ValueError):
+            ints([1], 4) * ints([1], 3)
 
     def test_ring_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ints([1], 3) + TruncatedSeries.from_coeffs(
+            ints([1], 3) * TruncatedSeries.from_coeffs(
                 Polynomial, [Polynomial.one()], 3
             )
 
@@ -72,7 +71,6 @@ class TestArithmetic:
     @given(int_series, int_series, int_series)
     def test_mul_associates_and_distributes(self, a, b, c):
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
 
 
 class TestInverse:

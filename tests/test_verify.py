@@ -7,6 +7,7 @@ import pytest
 
 from fibpcubes import cli, verify
 from fibpcubes.series import TruncatedSeries
+from fibpcubes.verify import CheckResult
 
 
 def plus_one(value):
@@ -156,6 +157,11 @@ def lift_one_further(lift):
     return lambda n, d, hi, i: lift(n + 1, d + 1, hi, i)
 
 
+def lift_without_the_one(lift):
+    # the 1 at coordinate i is cleared first, so the lift refuses the edge
+    return lambda n, d, hi, i: lift(n, d, hi & ~(1 << (n - d - i)), i)
+
+
 @pytest.mark.parametrize(
     "step, fault, detail",
     [
@@ -165,6 +171,11 @@ def lift_one_further(lift):
             "p=2 n=4 d=1: projected edge is not in the smaller graph",
         ),
         ("lift_edge", lift_one_further, "p=2 n=4 d=1: lift does not round-trip the pair"),
+        (
+            "lift_edge",
+            lift_without_the_one,
+            "p=2 n=4 d=1: coordinate 1 of the edge is not 1",
+        ),
     ],
 )
 def test_broken_projection_fails_bijection(monkeypatch, capsys, step, fault, detail):
@@ -178,6 +189,29 @@ def test_broken_projection_fails_bijection(monkeypatch, capsys, step, fault, det
     out = capsys.readouterr().out
     assert f"FAIL irregularity/projection-bijection p=2: {detail}\n" in out
     assert out.count("FAIL") == 1
+
+
+def test_projection_refusal_fails_a_check(monkeypatch, capsys, drop_edge):
+    # At n = 5 the p = 1 graph checked as p = 2, less the edge 10000-10100:
+    # project_pair refuses a pair at d = 2, and that refusal, not the failed
+    # bijection at d = 1, is the check's first mismatch.
+    build = verify.build
+
+    def faulty_build(p, m, **kwargs):
+        if m != 5:
+            return build(p, m, **kwargs)
+        g = dataclasses.replace(build(1, m, **kwargs), p=2)
+        return drop_edge(g, (g.index[0b10000], g.index[0b10100], 3))
+
+    monkeypatch.setattr(verify, "build", faulty_build)
+    detail = "p=2 n=5 d=2: pair is not imbalanced: x + delta_j is a vertex"
+    results = verify.run_suite("irregularity", [2], [5])
+    assert CheckResult("irregularity/projection-bijection p=2", False, detail) in results
+    code = cli.main(["verify", "irregularity", "--p", "2", "--n", "5"])
+    assert code == 1
+    assert f"FAIL irregularity/projection-bijection p=2: {detail}\n" in (
+        capsys.readouterr().out
+    )
 
 
 def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
