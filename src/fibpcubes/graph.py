@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from weakref import WeakValueDictionary
 
 from .errors import SizeLimitError
 from .sequences import pfib, pfib_table
@@ -151,14 +152,27 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
     return pfib(p, i) * pfib(p, n - i + 1)
 
 
+class _Row(list):
+    """A list that a weak reference can point to."""
+
+
+# Each (p, n) row of direction counts that some caller still holds.
+_held_rows: "WeakValueDictionary[tuple[int, int], _Row]" = WeakValueDictionary()
+
+
 def direction_edge_counts_closed(p: int, n: int) -> list[int]:
     """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
 
     One table prefix F_1 .. F_n serves all n products, read forwards and
-    backwards.
+    backwards.  A row that a caller still holds is handed out again, not
+    rebuilt, so ``indices`` lists and sums one row for the Wiener and Mostar
+    closed forms; no row outlives its last holder.  Callers must not mutate it.
     """
-    fib = pfib_table(p).prefix(n)[1:]
-    return [a * b for a, b in zip(fib, reversed(fib))]
+    row = _held_rows.get((p, n))
+    if row is None:
+        fib = pfib_table(p).prefix(n)[1:]
+        row = _held_rows[p, n] = _Row(a * b for a, b in zip(fib, reversed(fib)))
+    return row
 
 
 def total_edges_closed(p: int, n: int) -> int:

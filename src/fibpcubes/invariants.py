@@ -28,7 +28,7 @@ from .graph import (
     direction_edge_counts_closed,
     direction_shifts,
 )
-from .sequences import pfib
+from .sequences import pfib, pfib_table
 
 
 def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
@@ -90,12 +90,14 @@ def irregularity_closed(p: int, n: int) -> int:
     with |E(m)| = sum_i F_i F_{m-i+1}, each F_i meets the window sum
     F_{n-i-p+1} + ... + F_{n-i} (indices below 1 dropped), which telescopes
     through F_{j+p+1} - F_{j+p} = F_j to F_{n-i+p+1} - F_{max(n-i+1, p+1)}.
-    Only valid for n >= p; smaller n must go through the oracle.
+    Only valid for n >= p; smaller n must go through the oracle.  One table
+    prefix F_0 .. F_{n+p} serves every term.
     """
     if n < p:
         raise ValueError(f"closed form needs n >= p, got n = {n} < p = {p}")
+    fib = pfib_table(p).prefix(n + p)
     return 2 * sum(
-        pfib(p, i) * (pfib(p, n - i + p + 1) - pfib(p, max(n - i + 1, p + 1)))
+        fib[i] * (fib[n - i + p + 1] - fib[max(n - i + 1, p + 1)])
         for i in range(1, n)
     )
 

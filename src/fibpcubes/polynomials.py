@@ -5,7 +5,8 @@ sparse term tuples, canonical because they come only from ``from_dict`` or
 from an operator built on it.  Both share one ring rule: an int enters as
 a constant, and zero, one, subtraction, the reflected operators and powers
 are derived from each kind's const, +, unary - and *.  Degrees stay tiny
-while coefficients grow huge, so everything is exact int arithmetic.
+while coefficients grow huge, so everything is exact int arithmetic; the
+closed cube and distance polynomials are expanded on one packed int.
 """
 
 from __future__ import annotations
@@ -271,20 +272,77 @@ def substitute(
     return acc
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes that hold every int from 0 to bound."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _times_marker(acc: int, shifts: list[tuple[int, int]]) -> int:
+    """The packed acc times the packed marker, given as descending (shift, c).
+
+    Horner over the marker's terms: one shift and one add per term, so the
+    cube marker 1 + x costs (acc << slot) + acc.
+    """
+    (above, c), *rest = shifts
+    out = acc if c == 1 else c * acc
+    for shift, c in rest:
+        out = (out << (above - shift)) + (acc if c == 1 else c * acc)
+        above = shift
+    return out << above if above else out
+
+
 def _marked_expansion(
     p: int, n: int, marker: Union[Polynomial, BivarPoly]
 ) -> Union[Polynomial, BivarPoly]:
     """The sum over weights a of binom(n - a*p + p, a) * marker^a.
 
-    Expansion is by iterated multiplication on purpose: the binomial double
-    sums in cube_count_closed and dist_cube_count_closed are an independent
-    route to the same numbers.
+    Horner's rule, acc -> acc * marker + binom_a from the top weight down to
+    0, on one packed int (Kronecker substitution).  The monomial x^k q^d is
+    slot k + d * stride, where stride exceeds the result's x-degree by one
+    (top + 1 for the markers here), and every slot has the same byte width.
+    The width holds the bound sum_a binom_a * marker(1)^a: a marker has no
+    negative coefficient (one that has is refused), so no coefficient of acc
+    exceeds its value at x = q = 1, which is at most that bound, and no slot
+    carries into the next.  A marker term costs one C-level shift and add
+    per weight, and the result is read back from one ``to_bytes``.
+
+    The packed int is freed before the result is built, and at most three
+    packed-size ints are alive at once.  The expansion stays an iterated
+    multiplication by the marker, never a binomial expansion of marker^a,
+    so the binomial double sums in cube_count_closed and
+    dist_cube_count_closed remain an independent route to the same numbers.
     """
-    acc, power = type(marker).zero(), type(marker).one()
-    for a in range(max_weight(p, n) + 1):
-        acc = acc + binomial(n - a * p + p, a) * power
-        power = power * marker
-    return acc
+    if isinstance(marker, Polynomial):
+        terms = [(k, 0, c) for k, c in enumerate(marker.coeffs) if c]
+    else:
+        terms = marker.terms
+    if any(c < 0 for _, _, c in terms):
+        raise ValueError("a marker coefficient is negative; slots would borrow")
+    top = max_weight(p, n)
+    binoms = [binomial(n - a * p + p, a) for a in range(top + 1)]
+    at_one, bound = sum(c for _, _, c in terms), 0
+    for b in reversed(binoms):
+        bound = bound * at_one + b
+    width = _slot_bytes(bound)
+    stride = top * max(k for k, _, _ in terms) + 1
+    rows = top * max(d for _, d, _ in terms) + 1
+    shifts = sorted(
+        (((k + d * stride) * 8 * width, c) for k, d, c in terms), reverse=True
+    )
+    acc = 0
+    for b in reversed(binoms):
+        acc = _times_marker(acc, shifts) + b
+    data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
+    del acc
+    found = {}
+    for s in range(stride * rows):
+        c = int.from_bytes(data[s * width : (s + 1) * width], "little")
+        if c:
+            found[s % stride, s // stride] = c
+    del data
+    if isinstance(marker, Polynomial):
+        return Polynomial.from_coeffs(found.get((k, 0), 0) for k in range(stride))
+    return BivarPoly.from_dict(found)
 
 
 def cube_poly_closed(p: int, n: int) -> Polynomial:

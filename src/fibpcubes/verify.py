@@ -263,6 +263,7 @@ def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
 def _indices_at(
     bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
 ) -> None:
+    counts = direction_edge_counts_closed(p, n)  # held, so the two below reuse it
     wc, mc = wiener_closed(p, n), mostar_closed(p, n)
     try:  # the graph serves only the distance oracles: skip it with them
         check_sweep_limit(pfib(p, n + p + 1))
@@ -276,7 +277,7 @@ def _indices_at(
             bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
         if mo != mc:
             bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
-    squares = sum(c * c for c in direction_edge_counts_closed(p, n))
+    squares = sum(c * c for c in counts)
     if wc - mc != squares or squares < 0:
         bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
 

@@ -6,6 +6,8 @@ import pytest
 
 from fibpcubes.cubes import cube_census
 from fibpcubes.graph import build
+from fibpcubes.sequences import binomial
+from fibpcubes.strings import max_weight
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +106,21 @@ def swap_vertices():
         )
 
     return _swap
+
+
+@pytest.fixture(scope="session")
+def ring_expansion():
+    """The sum over weights a of binom(n - a*p + p, a) * marker^a, in the ring.
+
+    One ring product per weight for the power and one for each term: the
+    reference that the packed expansion in ``polynomials`` is held to.
+    """
+
+    def _expand(p, n, marker):
+        acc, power = type(marker).zero(), type(marker).one()
+        for a in range(max_weight(p, n) + 1):
+            acc = acc + binomial(n - a * p + p, a) * power
+            power = power * marker
+        return acc
+
+    return _expand

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import fibpcubes
-from fibpcubes import cli, graph, verify
+from fibpcubes import cli, graph, invariants, verify
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
@@ -414,6 +414,21 @@ class TestIndices:
         doc = json.loads(out)
         assert doc["wiener"]["oracle"] == doc["wiener"]["closed"]
         assert doc["mostar"]["oracle"] == doc["mostar"]["closed"]
+
+    def test_one_direction_row_serves_every_closed_value(self, monkeypatch, capsys):
+        # The listed row is the one the Wiener and Mostar closed forms sum.
+        invariants._direction_sums.cache_clear()
+        built_for = []
+        table = graph.pfib_table
+        monkeypatch.setattr(
+            graph, "pfib_table", lambda p: built_for.append(p) or table(p)
+        )
+        code, out, _ = run(capsys, "indices", "--p", "2", "--n", "37", "--cap", "0")
+        assert code == 0
+        assert built_for == [2]
+        doc = json.loads(out)
+        squares = sum(int(c) ** 2 for c in doc["edge_counts_by_direction"]["closed"])
+        assert int(doc["wiener"]["closed"]) - int(doc["mostar"]["closed"]) == squares
 
     def test_beyond_sweep_limit_nulls_distance_oracles(self, monkeypatch, capsys):
         monkeypatch.setattr(graph, "SWEEP_LIMIT", 8)

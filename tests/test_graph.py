@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from fibpcubes import cli
+from fibpcubes import cli, graph
 from fibpcubes.errors import SizeLimitError
 from fibpcubes.graph import (
     bfs_distances,
     build,
     direction_edge_count,
     direction_edge_count_closed,
+    direction_edge_counts_closed,
     graph_json,
     to_dot,
     total_edges_closed,
@@ -63,6 +64,14 @@ def test_direction_closed_form(built):
                 assert direction_edge_count_closed(
                     p, n, i
                 ) == direction_edge_count_closed(p, n, n + 1 - i)
+
+
+def test_direction_row_shared_while_held():
+    row = direction_edge_counts_closed(3, 21)
+    assert direction_edge_counts_closed(3, 21) is row
+    assert row == [direction_edge_count_closed(3, 21, i) for i in range(1, 22)]
+    del row  # no row outlives its last holder
+    assert (3, 21) not in graph._held_rows
 
 
 def test_direction_counts_match_closed(built):

@@ -10,6 +10,7 @@ from fibpcubes.polynomials import (
     NEG_INF,
     BivarPoly,
     Polynomial,
+    _marked_expansion,
     cube_count_closed,
     cube_poly_closed,
     dist_cube_count_closed,
@@ -257,3 +258,29 @@ class TestClosedForms:
                 assert d.swap() == d
                 # q = 1 collapses distance back onto dimension counting
                 assert at_q(d, 1) == c
+
+
+class TestPackedExpansion:
+    # n from 0 up, so every p > 0 meets n < p as well
+    @pytest.mark.parametrize("kind", list(MARKERS))
+    def test_matches_ring_expansion(self, ring_expansion, kind):
+        marker = MARKERS[kind]
+        for p in range(5):
+            for n in range(41):
+                expected = ring_expansion(p, n, marker)
+                assert _marked_expansion(p, n, marker) == expected, (p, n)
+
+    def test_matches_ring_expansion_at_large_n(self, ring_expansion):
+        cube = MARKERS["cube"]
+        assert _marked_expansion(0, 300, cube) == ring_expansion(0, 300, cube)
+
+    @pytest.mark.parametrize(
+        "marker",
+        [
+            Polynomial.from_coeffs([1, -1]),
+            BivarPoly.from_dict({(1, 0): 1, (0, 1): -2}),
+        ],
+    )
+    def test_negative_marker_refused(self, marker):
+        with pytest.raises(ValueError, match="negative"):
+            _marked_expansion(1, 4, marker)
