@@ -11,11 +11,10 @@ so that 64-bit consumers cannot silently overflow.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from typing import Iterator
 
 from .cubes import check_census_limit
 from .errors import SizeLimitError
@@ -24,6 +23,7 @@ from .graph import (
     direction_edge_count,
     direction_edge_counts_closed,
     graph_json,
+    mirror,
     to_dot,
     total_edges_closed,
 )
@@ -136,40 +136,56 @@ def _values(span: tuple[int, int]) -> range:
     return range(span[0], span[1] + 1)
 
 
-def _count_rows(args: argparse.Namespace) -> list[dict]:
-    rows = []
+def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
+    """(p, n, |V|, |E|, top weight, weight census) per grid point, as ints."""
     for p in _values(args.p):
         for n in _values(args.n):
-            rows.append(
-                {
-                    "p": str(p),
-                    "n": str(n),
-                    "vertices": str(pfib(p, n + p + 1)),
-                    "edges": str(total_edges_closed(p, n)),
-                    "max_weight": str(max_weight(p, n)),
-                    "weight_census": [str(c) for c in weight_census(p, n)],
-                }
+            yield (
+                p,
+                n,
+                pfib(p, n + p + 1),
+                total_edges_closed(p, n),
+                max_weight(p, n),
+                weight_census(p, n),
             )
-    return rows
+
+
+def _write_json(doc: object) -> None:
+    # Streamed chunk by chunk: the text of a large answer never exists whole.
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+_COUNT_KEYS = ("p", "n", "vertices", "edges", "max_weight")
+# Per format: the header, a line up to its weights, the weight separator.
+_COUNT_LINES = {
+    "text": ("", "p={} n={} vertices={} edges={} max_weight={} weights=", ","),
+    "csv": (",".join(_COUNT_KEYS) + ",weights\n", "{},{},{},{},{},", " "),
+}
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    rows = _count_rows(args)
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
-    elif args.format == "csv":
-        keys = ("p", "n", "vertices", "edges", "max_weight")
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([*keys, "weights"])
-        for row in rows:
-            writer.writerow([row[k] for k in keys] + [" ".join(row["weight_census"])])
-    else:
-        for row in rows:
-            print(
-                f"p={row['p']} n={row['n']} vertices={row['vertices']} "
-                f"edges={row['edges']} max_weight={row['max_weight']} "
-                f"weights={','.join(row['weight_census'])}"
-            )
+        _write_json(
+            [
+                {
+                    **dict(zip(_COUNT_KEYS, map(str, head))),
+                    "weight_census": [str(c) for c in census],
+                }
+                for *head, census in _count_points(args)
+            ]
+        )
+        return EXIT_OK
+    # The rows stay ints until each number is written; every row is
+    # computed before the first byte.
+    header, line, sep = _COUNT_LINES[args.format]
+    points = list(_count_points(args))
+    out = sys.stdout
+    out.write(header)
+    for *head, census in points:
+        out.write(line.format(*head) + str(census[0]))
+        out.writelines(f"{sep}{c}" for c in census[1:])
+        out.write("\n")
     return EXIT_OK
 
 
@@ -177,8 +193,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     p, n, kind = args.p, args.n, args.kind
     poly = closed_poly(kind, p, n)
     if args.format == "json":
-        doc = {"p": str(p), "n": str(n), "kind": kind, **poly.to_json()}
-        print(json.dumps(doc, indent=2))
+        _write_json({"p": str(p), "n": str(n), "kind": kind, **poly.to_json()})
     else:
         print(poly.render())
     return EXIT_OK
@@ -199,14 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.suite, _values(args.p), _values(args.n), order=args.order)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                indent=2,
-            )
+        _write_json(
+            [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
         )
     else:
         for r in results:
@@ -244,7 +253,7 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         "p": str(p),
         "n": str(n),
         "vertices": str(pfib(p, n + p + 1)),
-        "edges": str(sum(closed_dirs)),
+        "edges": str(total_edges_closed(p, n)),
         "wiener": {"closed": str(wiener_closed(p, n)), "oracle": None},
         "mostar": {"closed": str(mostar_closed(p, n)), "oracle": None},
         "irregularity": {
@@ -253,7 +262,7 @@ def _indices_doc(args: argparse.Namespace) -> dict:
             "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
         },
         "edge_counts_by_direction": {
-            "closed": [str(c) for c in closed_dirs],
+            "closed": mirror([str(c) for c in closed_dirs[: (n + 1) // 2]], n),
             "oracle": None,
         },
     }
@@ -274,17 +283,14 @@ def _indices_doc(args: argparse.Namespace) -> dict:
 def cmd_indices(args: argparse.Namespace) -> int:
     doc = _indices_doc(args)
     if args.format == "text":
-        buffer = io.StringIO()
-        buffer.write(f"p={doc['p']} n={doc['n']} vertices={doc['vertices']} ")
-        buffer.write(f"edges={doc['edges']}\n")
+        out = sys.stdout
+        out.write(f"p={doc['p']} n={doc['n']} vertices={doc['vertices']} ")
+        out.write(f"edges={doc['edges']}\n")
         for key in ("wiener", "mostar", "irregularity"):
             entry = doc[key]
-            buffer.write(
-                f"{key}: closed={entry['closed']} oracle={entry['oracle']}\n"
-            )
-        sys.stdout.write(buffer.getvalue())
+            out.write(f"{key}: closed={entry['closed']} oracle={entry['oracle']}\n")
     else:
-        print(json.dumps(doc, indent=2))
+        _write_json(doc)
     return EXIT_OK
 
 

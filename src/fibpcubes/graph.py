@@ -160,24 +160,45 @@ class _Row(list):
 _held_rows: "WeakValueDictionary[tuple[int, int], _Row]" = WeakValueDictionary()
 
 
+def mirror(half: list, n: int) -> list:
+    """The palindrome of length n whose first ceil(n/2) entries are ``half``.
+
+    The mirrored entries are the same objects as the ones they mirror.
+    """
+    return half + half[: n // 2][::-1]
+
+
+def half_and_middle(row: list[int]) -> tuple[list[int], int]:
+    """The entries before a row's middle, and the middle entry (0 if none).
+
+    A palindrome sums to twice the first part plus the middle entry.
+    """
+    half, odd = divmod(len(row), 2)
+    return row[:half], row[half] if odd else 0
+
+
 def direction_edge_counts_closed(p: int, n: int) -> list[int]:
     """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
 
-    One table prefix F_1 .. F_n serves all n products, read forwards and
-    backwards.  A row that a caller still holds is handed out again, not
-    rebuilt, so ``indices`` lists and sums one row for the Wiener and Mostar
-    closed forms; no row outlives its last holder.  Callers must not mutate it.
+    The row is a palindrome, so one table prefix F_1 .. F_n, read forwards
+    and backwards, gives the ceil(n/2) products of the first half and
+    ``mirror`` the rest.  A row that a caller still holds is handed out
+    again, not rebuilt, so ``indices`` lists and sums one row for the Wiener
+    and Mostar closed forms; no row outlives its last holder.  Callers must
+    not mutate it.
     """
     row = _held_rows.get((p, n))
     if row is None:
         fib = pfib_table(p).prefix(n)[1:]
-        row = _held_rows[p, n] = _Row(a * b for a, b in zip(fib, reversed(fib)))
+        half = [a * b for a, b in zip(fib[: (n + 1) // 2], reversed(fib))]
+        row = _held_rows[p, n] = _Row(mirror(half, n))
     return row
 
 
 def total_edges_closed(p: int, n: int) -> int:
     """Closed form for the size of the graph: sum of F^p_i F^p_{n-i+1}."""
-    return sum(direction_edge_counts_closed(p, n))
+    half, middle = half_and_middle(direction_edge_counts_closed(p, n))
+    return 2 * sum(half) + middle
 
 
 def check_sweep_limit(order: int) -> None:

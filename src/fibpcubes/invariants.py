@@ -27,6 +27,7 @@ from .graph import (
     bitset_ids,
     direction_edge_counts_closed,
     direction_shifts,
+    half_and_middle,
 )
 from .sequences import pfib, pfib_table
 
@@ -47,9 +48,10 @@ def wiener_oracle(g: PCubeGraph) -> int:
 @lru_cache(maxsize=1)
 def _direction_sums(p: int, n: int) -> tuple[int, int]:
     # (|E|, sum of squared direction counts), kept for the last (p, n) only
-    # so that Wiener and Mostar share one pass; the list itself is dropped.
-    counts = direction_edge_counts_closed(p, n)
-    return sum(counts), sum(c * c for c in counts)
+    # so that Wiener and Mostar share one pass over the first half of the
+    # palindromic row; the row itself is dropped.
+    half, middle = half_and_middle(direction_edge_counts_closed(p, n))
+    return 2 * sum(half) + middle, 2 * sum(c * c for c in half) + middle * middle
 
 
 def wiener_closed(p: int, n: int) -> int:

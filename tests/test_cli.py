@@ -1,9 +1,11 @@
 import functools
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -285,14 +287,22 @@ class TestVerify:
         assert sweeps == [(1, n) for n in range(7)]
 
 
-def test_closed_stdout_is_not_an_error():
-    # About 730 KB of rows: more than a pipe buffer holds, so the writer is
-    # still writing when the reader goes.
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (("count", "--p", "1", "--n", "0..300"), b"p=1 n=0 vertices=1 "),
+        (("indices", "--p", "2", "--n", "3000", "--cap", "0"), b"{\n"),
+    ],
+    ids=["count", "indices"],
+)
+def test_closed_stdout_is_not_an_error(argv, first_line):
+    # About 730 KB of rows, or 1.5 MB of streamed JSON: more than a pipe
+    # buffer holds, so the writer is still writing when the reader goes.
     with subprocess.Popen(
-        [sys.executable, "-m", "fibpcubes", "count", "--p", "1", "--n", "0..300"],
+        [sys.executable, "-m", "fibpcubes", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
     ) as child:
-        assert child.stdout.readline().startswith(b"p=1 n=0 vertices=1 ")
+        assert child.stdout.readline().startswith(first_line)
         child.stdout.close()
         assert child.wait(timeout=30) == cli.EXIT_PIPE == 141
         assert child.stderr.read() == b""
@@ -443,6 +453,89 @@ class TestIndices:
                              "--cap", "0")
         assert code == 0, err
         assert len(json.loads(out)["wiener"]["closed"]) > 4300
+
+
+class Discard(io.TextIOBase):
+    """A text stdout that counts the characters written and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.chars = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("indices", "--p", "2", "--n", "37", "--cap", "0"),
+            ("indices", "--p", "1", "--n", "6"),
+            ("count", "--p", "0..2", "--n", "0..9", "--format", "json"),
+        ],
+        ids=["indices-closed", "indices-oracle", "count"],
+    )
+    def test_json_is_the_one_shot_encoding(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if argv[0] == "indices":
+            doc = cli._indices_doc(cli.build_parser().parse_args(argv))
+            assert out == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "form, out",
+        [
+            ("text",
+             "p=1 n=3 vertices=5 edges=5 max_weight=2 weights=1,3,1\n"
+             "p=1 n=4 vertices=8 edges=10 max_weight=2 weights=1,4,3\n"
+             "p=1 n=5 vertices=13 edges=20 max_weight=3 weights=1,5,6,1\n"
+             "p=2 n=3 vertices=4 edges=3 max_weight=1 weights=1,3\n"
+             "p=2 n=4 vertices=6 edges=6 max_weight=2 weights=1,4,1\n"
+             "p=2 n=5 vertices=9 edges=11 max_weight=2 weights=1,5,3\n"),
+            ("csv",
+             "p,n,vertices,edges,max_weight,weights\n"
+             "1,3,5,5,2,1 3 1\n1,4,8,10,2,1 4 3\n1,5,13,20,3,1 5 6 1\n"
+             "2,3,4,3,1,1 3\n2,4,6,6,2,1 4 1\n2,5,9,11,2,1 5 3\n"),
+        ],
+    )
+    def test_count_rows_on_a_small_grid(self, capsys, form, out):
+        argv = ("count", "--p", "1..2", "--n", "3..5", "--format", form)
+        assert run(capsys, *argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("indices", "--p", "2", "--n", "3000", "--cap", "0"),
+            ("count", "--p", "1", "--n", "3000"),
+            ("count", "--p", "1", "--n", "3000", "--format", "json"),
+            ("count", "--p", "1", "--n", "3000", "--format", "csv"),
+        ],
+        ids=["indices", "count-text", "count-json", "count-csv"],
+    )
+    def test_peak_memory_is_near_the_output_size(self, monkeypatch, argv):
+        # Holding the answer once and streaming it stays well below the
+        # chunks, the joined text and its encoding all alive at once.
+        sink = Discard()
+        monkeypatch.setattr(sys, "stdout", sink)
+        invariants._direction_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            assert cli.main(list(argv)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * sink.chars
+
+    def test_refusal_writes_nothing(self, capsys):
+        code, out, err = run(capsys, "indices", "--p", "0", "--n", "24")
+        assert code == cli.EXIT_CAP == 3
+        assert out == "" and err.startswith("error: ")
 
 
 class TestUsageAndDeterminism:

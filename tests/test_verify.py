@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from fibpcubes import cli, polynomials, verify
+from fibpcubes import cli, graph, invariants, polynomials, verify
 from fibpcubes.series import TruncatedSeries
 from fibpcubes.verify import CheckResult
 
@@ -76,6 +76,35 @@ def test_broken_closed_form_fails_its_check(
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4", "--N", "6"])
     assert code == 1
     assert f"FAIL {check} p=1: " in capsys.readouterr().out
+
+
+def mirror_off_by_one(row):
+    # At odd n the middle entry is mirrored too, and the first one is lost.
+    half = row[: (len(row) + 1) // 2]
+    return half + half[::-1][: len(row) // 2]
+
+
+@pytest.mark.parametrize(
+    "check", ["counts/directions", "indices/wiener-mostar-gap"]
+)
+def test_misaligned_mirror_fails(monkeypatch, capsys, check):
+    # The closed forms that read only the half row stay right; the full
+    # row's per-direction check and its sum of squares catch the fault.
+    original = verify.direction_edge_counts_closed
+    for module in (graph, invariants, verify, cli):
+        monkeypatch.setattr(
+            module,
+            "direction_edge_counts_closed",
+            lambda p, n: mirror_off_by_one(original(p, n)),
+        )
+    invariants._direction_sums.cache_clear()
+    suite = check.split("/")[0]
+    results = verify.run_suite(suite, [1], range(5))
+    assert [r.passed for r in results if r.name == f"{check} p=1"] == [False]
+
+    code = cli.main(["verify", suite, "--p", "1", "--n", "0..4"])
+    assert code == 1
+    assert f"FAIL {check} p=1: p=1 n=3" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
