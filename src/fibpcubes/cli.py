@@ -1,11 +1,11 @@
 """Command-line front end: counts, polynomials, verification, exports.
 
 Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 size
-limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE).  The only
-bound on n is the ``--cap`` option of the commands that build graphs; the
-vertex, cube-census and distance-sweep limits belong to the modules that
-allocate the memory.  JSON payloads carry every number as a decimal string
-so that 64-bit consumers cannot silently overflow.
+limit exceeded or out of memory, 141 stdout closed by its reader (128 +
+SIGPIPE).  The only bound on n is the ``--cap`` option of the commands that
+build graphs; the vertex, cube-census and distance-sweep limits belong to
+the modules that allocate the memory.  JSON payloads carry every number
+as a decimal string so that 64-bit consumers cannot silently overflow.
 """
 
 from __future__ import annotations
@@ -156,6 +156,17 @@ def _write_json(doc: object) -> None:
     sys.stdout.write("\n")
 
 
+class _Decimals(list):
+    """Ints that the JSON encoder meets as decimal strings, one at a time.
+
+    With an indent the encoder iterates a list, so each string exists only
+    while its chunk is written.
+    """
+
+    def __iter__(self) -> Iterator[str]:
+        return map(str, super().__iter__())
+
+
 _COUNT_KEYS = ("p", "n", "vertices", "edges", "max_weight")
 # Per format: the header, a line up to its weights, the weight separator.
 _COUNT_LINES = {
@@ -170,7 +181,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             [
                 {
                     **dict(zip(_COUNT_KEYS, map(str, head))),
-                    "weight_census": [str(c) for c in census],
+                    "weight_census": _Decimals(census),
                 }
                 for *head, census in _count_points(args)
             ]
@@ -316,6 +327,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_PIPE
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:  # the unwound frames have freed what ran out
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,23 +1,47 @@
 """Exact integer polynomials and the closed-form counting polynomials.
 
-Univariate polynomials are dense coefficient tuples; bivariate ones are
-sparse term tuples, canonical because they come only from ``from_dict`` or
-from an operator built on it.  Both share one ring rule: an int enters as
-a constant, and zero, one, subtraction, the reflected operators and powers
-are derived from each kind's const, +, unary - and *.  Degrees stay tiny
-while coefficients grow huge, so everything is exact int arithmetic; the
-closed cube and distance polynomials are expanded on one packed int.
+Univariate polynomials are dense coefficient tuples, and bivariate ones
+rows of such tuples, one per power of q; no tuple ends in a zero, and one
+helper adds two of them for either kind.  Both kinds share one ring rule:
+an int enters as a constant, and zero, one, subtraction, the reflected
+operators and powers are derived from each kind's const, +, unary - and
+*.  Degrees stay tiny while coefficients grow huge, so everything is exact
+int arithmetic; the closed cube and distance polynomials are expanded on
+one packed int.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Mapping, Union
 
 from .sequences import binomial
 from .strings import max_weight, weight_census
 
 NEG_INF = float("-inf")
+
+
+def _trimmed(values: Iterable[int]) -> tuple[int, ...]:
+    """The coefficients as a tuple without trailing zeros."""
+    values = tuple(values)
+    end = len(values)
+    while end and not values[end - 1]:
+        end -= 1
+    return values[:end]
+
+
+def _add_coeffs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two coefficient tuples that have no trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    total = tuple(map(operator.add, a, b))
+    if len(a) > len(b):  # a's last coefficient survives, and it is not 0
+        return total + a[len(b) :]
+    return _trimmed(total)
 
 
 class RingElement:
@@ -83,10 +107,7 @@ class Polynomial(RingElement):
 
     @staticmethod
     def from_coeffs(values: Iterable[int]) -> "Polynomial":
-        coeffs = list(values)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return Polynomial(tuple(coeffs))
+        return Polynomial(_trimmed(values))
 
     @staticmethod
     def const(c: int) -> "Polynomial":
@@ -107,13 +128,7 @@ class Polynomial(RingElement):
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coeffs, rhs.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Polynomial.from_coeffs(out)
+        return Polynomial(_add_coeffs(self.coeffs, rhs.coeffs))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-c for c in self.coeffs))
@@ -177,52 +192,88 @@ def _format_terms(terms: list[tuple[int, str]]) -> str:
 
 @dataclass(frozen=True)
 class BivarPoly(RingElement):
-    """Sparse integer polynomial in x and q; terms are (xdeg, qdeg, coeff).
+    """Dense integer polynomial in x and q; rows[d][k] multiplies x^k q^d.
 
-    Terms come only from ``from_dict``, sorted by (xdeg, qdeg) with no zero,
-    or from an operator built on it (``const`` and ``-`` keep that form).
+    Canonical: no row ends in 0 and the last row is not empty, as
+    ``from_dict`` and every operator leave them, so == and hash are exact.
     """
 
-    terms: tuple[tuple[int, int, int], ...] = ()
+    rows: tuple[tuple[int, ...], ...] = ()
+
+    @staticmethod
+    def from_rows(rows: Iterable[Iterable[int]]) -> "BivarPoly":
+        out = [_trimmed(row) for row in rows]
+        while out and not out[-1]:
+            out.pop()
+        return BivarPoly(tuple(out))
 
     @staticmethod
     def from_dict(data: Mapping[tuple[int, int], int]) -> "BivarPoly":
-        items = tuple(sorted((k, d, c) for (k, d), c in data.items() if c))
-        return BivarPoly(items)
+        width = max((k for k, _ in data), default=-1) + 1
+        height = max((d for _, d in data), default=-1) + 1
+        return BivarPoly.from_rows(
+            [data.get((k, d), 0) for k in range(width)] for d in range(height)
+        )
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(k, d): c for k, d, c in self.terms}
 
+    @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The nonzero (xdeg, qdeg, coeff) triples, sorted by (xdeg, qdeg)."""
+        columns = zip_longest(*self.rows, fillvalue=0)  # columns[k][d]
+        return tuple(
+            (k, d, c)
+            for k, column in enumerate(columns)
+            for d, c in enumerate(column)
+            if c
+        )
+
     @staticmethod
     def const(c: int) -> "BivarPoly":
-        return BivarPoly(((0, 0, c),)) if c else BivarPoly()
+        return BivarPoly(((c,),)) if c else BivarPoly()
 
     def __add__(self, other: object) -> "BivarPoly":
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        acc = self.as_dict()
-        for k, d, c in rhs.terms:
-            acc[k, d] = acc.get((k, d), 0) + c
-        return BivarPoly.from_dict(acc)
+        a, b = self.rows, rhs.rows
+        if len(a) < len(b):
+            a, b = b, a
+        rows = list(map(_add_coeffs, a, b)) + list(a[len(b) :])
+        while rows and not rows[-1]:
+            rows.pop()
+        return BivarPoly(tuple(rows))
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly(tuple((k, d, -c) for k, d, c in self.terms))
+        return BivarPoly(tuple(tuple(map(operator.neg, row)) for row in self.rows))
 
     def __mul__(self, other: object) -> "BivarPoly":
         rhs = self._lift(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[tuple[int, int], int] = {}
-        for k1, d1, c1 in self.terms:
-            for k2, d2, c2 in rhs.terms:
-                key = (k1 + k2, d1 + d2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return BivarPoly.from_dict(acc)
+        small, big = self.rows, rhs.rows
+        if sum(map(len, small)) > sum(map(len, big)):  # the fewer terms drive
+            small, big = big, small
+        if not small:
+            return BivarPoly()
+        out: list[tuple[int, ...]] = [()] * (len(small) + len(big) - 1)
+        for d, row in enumerate(small):
+            for k, c in enumerate(row):
+                if not c:
+                    continue
+                pad = (0,) * k
+                for e, brow in enumerate(big):
+                    if brow:
+                        scaled = brow if c == 1 else tuple(map(c.__mul__, brow))
+                        out[d + e] = _add_coeffs(out[d + e], pad + scaled)
+        # The last row is the product of the two last rows: Z[x] has no zero
+        # divisors, so it is not empty.
+        return BivarPoly(tuple(out))
 
     def swap(self) -> "BivarPoly":
         """Exchange the roles of x and q."""
-        return BivarPoly.from_dict({(d, k): c for k, d, c in self.terms})
+        return BivarPoly.from_rows(zip_longest(*self.rows, fillvalue=0))
 
     def render(self) -> str:
         """Canonical text ordered by total degree, e.g. ``1 + 3*q + 3*x``."""
@@ -304,7 +355,9 @@ def _marked_expansion(
     negative coefficient (one that has is refused), so no coefficient of acc
     exceeds its value at x = q = 1, which is at most that bound, and no slot
     carries into the next.  A marker term costs one C-level shift and add
-    per weight, and the result is read back from one ``to_bytes``.
+    per weight, and the result is read back from one ``to_bytes``, one
+    ``int.from_bytes`` per slot whose total degree is at most top times the
+    marker's: for x + q that is the triangle k + d <= top.
 
     The packed int is freed before the result is built, and at most three
     packed-size ints are alive at once.  The expansion stays an iterated
@@ -325,7 +378,8 @@ def _marked_expansion(
         bound = bound * at_one + b
     width = _slot_bytes(bound)
     stride = top * max(k for k, _, _ in terms) + 1
-    rows = top * max(d for _, d, _ in terms) + 1
+    height = top * max(d for _, d, _ in terms) + 1
+    reach = top * max(k + d for k, d, _ in terms)  # the largest total degree
     shifts = sorted(
         (((k + d * stride) * 8 * width, c) for k, d, c in terms), reverse=True
     )
@@ -334,15 +388,22 @@ def _marked_expansion(
         acc = _times_marker(acc, shifts) + b
     data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
     del acc
-    found = {}
-    for s in range(stride * rows):
-        c = int.from_bytes(data[s * width : (s + 1) * width], "little")
-        if c:
-            found[s % stride, s // stride] = c
+    from_bytes = int.from_bytes  # one lookup, not one per slot
+    found = [
+        [
+            from_bytes(data[s : s + width], "little")
+            for s in range(
+                d * stride * width,
+                (d * stride + min(stride, reach + 1 - d)) * width,
+                width,
+            )
+        ]
+        for d in range(min(height, reach + 1))
+    ]
     del data
     if isinstance(marker, Polynomial):
-        return Polynomial.from_coeffs(found.get((k, 0), 0) for k in range(stride))
-    return BivarPoly.from_dict(found)
+        return Polynomial.from_coeffs(found[0])
+    return BivarPoly.from_rows(found)
 
 
 def cube_poly_closed(p: int, n: int) -> Polynomial:

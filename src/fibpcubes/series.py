@@ -84,7 +84,8 @@ class TruncatedSeries:
         one = zero + 1
         if self.coeffs[0] != one:
             raise ValueError("series inverse needs constant coefficient one")
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and c != zero]
+        # inv[m] = -sum_i c_i inv[m - i]: negate the few c_i, not every inv[m]
+        terms = [(i, -c) for i, c in enumerate(self.coeffs) if i and c != zero]
         inv: list[Any] = [one]
         for m in range(1, self.order + 1):
             acc = zero
@@ -92,7 +93,7 @@ class TruncatedSeries:
                 if i > m:
                     break
                 acc = acc + c * inv[m - i]
-            inv.append(-acc)
+            inv.append(acc)
         return TruncatedSeries(tuple(inv))
 
 

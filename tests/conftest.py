@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -124,3 +125,38 @@ def ring_expansion():
         return acc
 
     return _expand
+
+
+@pytest.fixture(scope="session")
+def sparse_bivar():
+    """The bivariate ring on dicts (k, d) -> c of x^k q^d, term by term.
+
+    Sums and products accumulate in a dict and drop the zeros; ``swap``
+    exchanges each key's degrees: the reference that ``BivarPoly``'s row
+    arithmetic is held to.
+    """
+
+    def live(acc):
+        return {key: c for key, c in acc.items() if c}
+
+    def add(f, g):
+        acc = dict(f)
+        for key, c in g.items():
+            acc[key] = acc.get(key, 0) + c
+        return live(acc)
+
+    def neg(f):
+        return live({key: -c for key, c in f.items()})
+
+    def mul(f, g):
+        acc = {}
+        for (k1, d1), c1 in f.items():
+            for (k2, d2), c2 in g.items():
+                key = (k1 + k2, d1 + d2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return live(acc)
+
+    def swap(f):
+        return live({(d, k): c for (k, d), c in f.items()})
+
+    return SimpleNamespace(add=add, neg=neg, mul=mul, swap=swap)

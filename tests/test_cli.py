@@ -50,9 +50,9 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 ))
 
 
-def run_limited(*argv):
-    """The CLI in a child process limited to 1.5 GB of address space and 30 s."""
-    limit = 1_500_000 * 1024
+def run_limited(*argv, limit_kb=1_500_000):
+    """The CLI in a child process limited to limit_kb of address space and 30 s."""
+    limit = limit_kb * 1024
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -376,6 +376,13 @@ class TestSizeLimits:
             "census limit 2097152\n"
         )
 
+    def test_out_of_memory_is_one_error_line(self):
+        # No budget refuses this yet: the table of every F_i alone is ~0.9 GB.
+        done = run_limited("count", "--p", "1", "--n", "200000", limit_kb=150_000)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == "error: out of memory\n"
+
     def test_huge_p_small_n_answers_at_once(self):
         done = run_limited("export", "--p", BILLION, "--n", "3")
         assert done.returncode == 0, done.stderr
@@ -531,6 +538,22 @@ class TestStreamedOutput:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * sink.chars
+
+    def test_json_count_peaks_as_text_does(self, monkeypatch):
+        # Each weight becomes a decimal string only when the encoder reaches
+        # it, so JSON holds no more at once than text, which writes as it goes.
+        monkeypatch.setattr(sys, "stdout", Discard())
+        argv = ["count", "--p", "1", "--n", "3000", "--format"]
+        assert cli.main(argv + ["text"]) == 0  # fills what both runs cache
+        peaks = {}
+        for form in ("text", "json"):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv + [form]) == 0
+                peaks[form] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["json"] < 1.25 * peaks["text"], peaks
 
     def test_refusal_writes_nothing(self, capsys):
         code, out, err = run(capsys, "indices", "--p", "0", "--n", "24")

@@ -27,6 +27,12 @@ polys = coeff_lists.map(Polynomial.from_coeffs)
 bivar_dicts = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=12
 )
+# wider, with coefficients far beyond one machine word
+big_bivar_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.integers(-(2**70), 2**70),
+    max_size=12,
+)
 
 XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
 XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
@@ -112,12 +118,37 @@ class TestBivarPoly:
         assert BivarPoly.from_dict(dict(reversed(fd.items()))) == f
         results = [
             f, f + g, f - g, f + c, c + f, f - c, c - f, f * g, -f, f.swap(), f**e,
-            substitute(weight_poly(p, n), XQ),
+            substitute(weight_poly(p, n), XQ), dist_cube_poly_closed(p, n),
         ]
         for h in results:
             keys = [(k, d) for k, d, _ in h.terms]
             assert keys == sorted(set(keys))
             assert all(coefficient for _, _, coefficient in h.terms)
+            # no row ends in 0, and the last row is not empty
+            assert all(type(row) is tuple and row[-1] for row in h.rows if row)
+            assert not h.rows or h.rows[-1]
+            assert h.rows == BivarPoly.from_dict(h.as_dict()).rows
+
+    @given(bivar_dicts, bivar_dicts, bivar_dicts)
+    def test_ring_axioms(self, fd, gd, hd):
+        f, g, h = map(BivarPoly.from_dict, (fd, gd, hd))
+        assert f + g == g + f
+        assert f * g == g * f
+        assert (f + g) * h == f * h + g * h
+        assert (f * g) * h == f * (g * h)
+        assert f + (-f) == BivarPoly.zero()
+        assert f * BivarPoly.one() == f
+
+    @given(big_bivar_dicts, big_bivar_dicts)
+    def test_matches_sparse_reference(self, sparse_bivar, fd, gd):
+        f, g = BivarPoly.from_dict(fd), BivarPoly.from_dict(gd)
+        assert f.as_dict() == sparse_bivar.add(fd, {})
+        assert (f + g).as_dict() == sparse_bivar.add(fd, gd)
+        assert (-f).as_dict() == sparse_bivar.neg(fd)
+        assert (f - g).as_dict() == sparse_bivar.add(fd, sparse_bivar.neg(gd))
+        assert (f * g).as_dict() == sparse_bivar.mul(fd, gd)
+        assert f.swap().as_dict() == sparse_bivar.swap(fd)
+        assert hash(f.swap().swap()) == hash(f)
 
     def test_arithmetic(self):
         x = BivarPoly.from_dict({(1, 0): 1})
