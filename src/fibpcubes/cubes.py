@@ -6,11 +6,12 @@ the bitset of vertex ids that top an induced cube on S, and grows S only by
 a coordinate i below its smallest one: a top of S ∪ {i} is a top of S that
 is the upper endpoint of a direction-i edge whose lower endpoint also tops
 S.  Every cube is thus two present smaller cubes joined by real edges.  The
-edge lists give each direction's id offset; the walk reads them through
-``direction_shifts``, refusing a direction whose edges disagree, rather than
-assume the offsets the closed forms imply.  The census counts Σ_v
-2^weight(v) supports, known from the weight census before any graph
-exists, and refuses a length where that exceeds ``CENSUS_LIMIT``.
+walk reads each direction's lower-endpoint bitset and id offset, as the
+build recorded them, through ``direction_shifts``, refusing a direction
+whose edges disagree rather than assume the offsets the closed forms imply.
+The census counts Σ_v 2^weight(v) supports, known from the weight census
+before any graph exists, and refuses a length where that exceeds
+``CENSUS_LIMIT``.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def enumerate_cubes(g: PCubeGraph, k: int) -> list[InducedCube]:
             continue
         mask = sum(1 << (n - i) for i in support)
         for vid in bitset_ids(tops):
-            top = g.vertices[vid]
-            found.append(InducedCube(top, PString(n, top.bits ^ mask), support))
+            top = g.bits[vid]
+            found.append(InducedCube(PString(n, top), PString(n, top ^ mask), support))
     found.sort(key=lambda c: (c.top.bits, c.support))
     return found
 
@@ -106,17 +107,21 @@ def cube_census(g: PCubeGraph) -> dict[tuple[int, int], int]:
     """Counts of induced cubes keyed by (dimension, bottom weight).
 
     One walk over all supports; the bottom weight of a k-cube with top of
-    weight w is w - k.  Refused beyond CENSUS_LIMIT supports.
+    weight w is w - k, read off one bitset of the ids of each weight.
+    Refused beyond CENSUS_LIMIT supports.
     """
     check_census_limit(g.p, g.n)
-    by_weight = [0] * (max(v.weight for v in g.vertices) + 1)
-    for vid, v in enumerate(g.vertices):
-        by_weight[v.weight] |= 1 << vid
-    census: dict[tuple[int, int], int] = {}
+    weights = [b.bit_count() for b in g.bits]
+    digits = [bytearray(b"0" * len(weights)) for _ in range(max(weights) + 1)]
+    for vid, w in enumerate(weights):  # id v at digit -1 - v
+        digits[w][-1 - vid] = 49  # ord("1")
+    by_weight = [int(d, 2) for d in digits]
+    # rows[k][d] counts the k-cubes whose top weighs k + d, from heavier[k][d]
+    heavier = [by_weight[k:] for k in range(g.n + 1)]
+    rows = [[0] * len(classes) for classes in heavier]
     for support, tops in _induced_tops(g):
         k = len(support)
-        for w in range(k, len(by_weight)):
-            found = (tops & by_weight[w]).bit_count()
-            if found:
-                census[(k, w - k)] = census.get((k, w - k), 0) + found
-    return census
+        row = rows[k]
+        for d, of_weight in enumerate(heavier[k]):
+            row[d] += (tops & of_weight).bit_count()
+    return {(k, d): c for k, row in enumerate(rows) for d, c in enumerate(row) if c}

@@ -7,6 +7,14 @@ O(|V| * n) lookups and never scans vertex pairs.  The vertex limit is
 checked by the enumeration before any vertex exists; ``build`` adds only an
 optional bound on n.
 
+A graph keeps only its packed strings in string order, their index, and
+per direction the bitset of its edges' lower-endpoint ids under each id
+offset.  Counts are lengths and popcounts.  Other modules read the bitsets
+through ``edge_bitsets``, or through ``direction_shifts`` where they need
+one offset per direction, as the cube walk and the imbalance census do.
+The vertex objects, the sorted edge list and the adjacency lists are made
+from the bitsets on first read only.
+
 Distances come from a BFS per source, or from one ball sweep cached on
 the graph for all its distance oracles; the sweep refuses graphs of more
 than ``SWEEP_LIMIT`` vertices before it allocates any ball.
@@ -22,7 +30,7 @@ from weakref import WeakValueDictionary
 
 from .errors import SizeLimitError
 from .sequences import pfib, pfib_table
-from .strings import PString, enumerate_pstrings
+from .strings import PString, pvalid_bits
 
 # (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
 Edge = tuple[int, int, int]
@@ -33,23 +41,49 @@ SWEEP_LIMIT = 1 << 14
 
 @dataclass
 class PCubeGraph:
-    """Explicit vertex set and adjacency; treat as immutable once built."""
+    """Packed vertices and per-direction edge bitsets; treat as immutable once built."""
 
     p: int
     n: int
-    vertices: list[PString]
+    bits: list[int]  # packed strings; a vertex id is a position here
     index: dict[int, int]  # packed bits -> vertex id
-    adjacency: list[list[int]]
-    edges: list[Edge]
-    edges_by_direction: list[list[Edge]]  # slot 0 unused, directions are 1-based
+    # lows[i] maps each id offset hi - lo of the direction-i edges to the
+    # bitset of their lower-endpoint ids; slot 0 is empty, directions are 1-based
+    lows: list[dict[int, int]]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.bits)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(lows.bit_count() for _, lows, _ in edge_bitsets(self))
+
+    @cached_property
+    def vertices(self) -> list[PString]:
+        """The strings as ``PString`` objects, in id order."""
+        return [PString(self.n, bits) for bits in self.bits]
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        """Every edge as (lower id, upper id, direction), sorted."""
+        ids = list(range(len(self.bits)))  # one int object per id, for all its edges
+        return sorted(
+            (ids[lo], ids[lo + offset], i)
+            for i, lows, offset in edge_bitsets(self)
+            for lo in bitset_ids(lows)
+        )
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """The neighbour ids of each vertex, ascending."""
+        adjacency: list[list[int]] = [[] for _ in self.bits]
+        for lo, hi, _ in self.edges:
+            adjacency[lo].append(hi)
+            adjacency[hi].append(lo)
+        for neighbours in adjacency:
+            neighbours.sort()
+        return adjacency
 
     @cached_property
     def distance_sums(self) -> tuple[tuple[int, ...], int]:
@@ -86,38 +120,30 @@ def build(p: int, n: int, cap: int | None = None) -> PCubeGraph:
     """Materialize the graph for (p, n); refuses n beyond cap, if given."""
     if cap is not None and n > cap:
         raise SizeLimitError(f"n = {n} exceeds the graph cap {cap}")
-    vertices = enumerate_pstrings(p, n)
-    index = {v.bits: i for i, v in enumerate(vertices)}
-    adjacency: list[list[int]] = [[] for _ in vertices]
-    edges: list[Edge] = []
-    edges_by_direction: list[list[Edge]] = [[] for _ in range(n + 1)]
-    for hi_id, v in enumerate(vertices):
-        bits = v.bits
-        rest = bits
-        while rest:  # each edge is discovered once, from its 1-endpoint
-            low = rest & -rest
-            rest ^= low
-            lo_id = index.get(bits ^ low)
-            if lo_id is not None:
-                direction = n - low.bit_length() + 1
-                edge = (lo_id, hi_id, direction)
-                edges.append(edge)
-                edges_by_direction[direction].append(edge)
-                adjacency[lo_id].append(hi_id)
-                adjacency[hi_id].append(lo_id)
-    for neighbours in adjacency:
-        neighbours.sort()
-    edges.sort()
-    for per_direction in edges_by_direction:
-        per_direction.sort()
-    return PCubeGraph(p, n, vertices, index, adjacency, edges, edges_by_direction)
+    bits = pvalid_bits(p, n)
+    index = {b: v for v, b in enumerate(bits)}
+    zeros = b"0" * len(bits)
+    lows: list[dict[int, int]] = [{}]
+    for i in range(1, n + 1):
+        mask = 1 << (n - i)
+        digits: dict[int, bytearray] = {}  # per offset, id v at digit -1 - v
+        for hi, b in enumerate(bits):
+            if b & mask:  # each edge is found once, from its 1-endpoint
+                lo = index.get(b ^ mask)
+                if lo is not None:
+                    lows_digits = digits.get(hi - lo)
+                    if lows_digits is None:
+                        lows_digits = digits[hi - lo] = bytearray(zeros)
+                    lows_digits[-1 - lo] = 49  # ord("1")
+        lows.append({offset: int(d, 2) for offset, d in digits.items()})
+    return PCubeGraph(p, n, bits, index, lows)
 
 
 def direction_edge_count(g: PCubeGraph, i: int) -> int:
     """Number of edges of g whose endpoints differ at coordinate i."""
     if not 1 <= i <= g.n:
         raise ValueError(f"direction {i} outside [1, {g.n}]")
-    return len(g.edges_by_direction[i])
+    return sum(lows.bit_count() for lows in g.lows[i].values())
 
 
 def bitset_ids(bits: int) -> tuple[int, ...]:
@@ -126,23 +152,25 @@ def bitset_ids(bits: int) -> tuple[int, ...]:
     return tuple(compress(range(len(digits)), digits))
 
 
+def edge_bitsets(g: PCubeGraph) -> list[tuple[int, int, int]]:
+    """(direction, bitset of lower-endpoint ids, id offset) per direction and offset.
+
+    Only the pairs that have edges are listed, in direction order.
+    """
+    return [
+        (i, lows, offset) for i, per in enumerate(g.lows) for offset, lows in per.items()
+    ]
+
+
 def direction_shifts(g: PCubeGraph) -> list[tuple[int, int, int]]:
-    """(direction, bitset of lower-endpoint ids, id offset) per direction with edges.
+    """``edge_bitsets``, one entry per direction with edges.
 
     Refuses with ValueError a direction whose edges disagree on the offset.
     """
-    shifts = []
-    for i in range(1, g.n + 1):
-        edges = g.edges_by_direction[i]
-        offsets = {hi - lo for lo, hi, _ in edges}
-        if len(offsets) > 1:
-            raise ValueError(f"direction {i} edges have id offsets {sorted(offsets)}")
-        if edges:  # the lower endpoints as binary digits, id v at digit -1 - v
-            digits = bytearray(b"0" * g.vertex_count)
-            for lo, _, _ in edges:
-                digits[-1 - lo] = ord("1")
-            shifts.append((i, int(digits, 2), offsets.pop()))
-    return shifts
+    for i, per in enumerate(g.lows):
+        if len(per) > 1:
+            raise ValueError(f"direction {i} edges have id offsets {sorted(per)}")
+    return edge_bitsets(g)
 
 
 def direction_edge_count_closed(p: int, n: int, i: int) -> int:

@@ -1,10 +1,10 @@
 """Wiener index, Mostar index, and irregularity.
 
-Each invariant comes twice: a graph-level oracle computed from the
-adjacency lists alone, and a closed form in the sequence values.  The
-Wiener and Mostar oracles read the graph's cached ball sweep,
-``PCubeGraph.distance_sums``, so one sweep per graph serves both, and both
-are refused with ``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
+Each invariant comes twice: a graph-level oracle computed from the edges
+alone, and a closed form in the sequence values.  The Wiener and Mostar
+oracles read the graph's cached ball sweep, ``PCubeGraph.distance_sums``,
+so one sweep per graph serves both, and both are refused with
+``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
 ``all_pairs_distances`` is the pairwise reference the tests hold them to.
 The oracle side never uses the direction structure that the closed forms
 rely on.
@@ -27,6 +27,7 @@ from .graph import (
     bitset_ids,
     direction_edge_counts_closed,
     direction_shifts,
+    edge_bitsets,
     half_and_middle,
 )
 from .sequences import pfib, pfib_table
@@ -79,9 +80,21 @@ def mostar_closed(p: int, n: int) -> int:
 
 
 def irregularity_oracle(g: PCubeGraph) -> int:
-    """Sum of absolute degree differences over the edges."""
+    """Sum of absolute degree differences over the edges.
+
+    Degrees are counted edge by edge from the direction bitsets, each
+    offset on its own, so no edge list is made.
+    """
+    bitsets = edge_bitsets(g)
+    degree = [0] * g.vertex_count
+    for _, lows, offset in bitsets:
+        for lo in bitset_ids(lows):
+            degree[lo] += 1
+            degree[lo + offset] += 1
     return sum(
-        abs(len(g.adjacency[lo]) - len(g.adjacency[hi])) for lo, hi, _ in g.edges
+        abs(degree[lo] - degree[lo + offset])
+        for _, lows, offset in bitsets
+        for lo in bitset_ids(lows)
     )
 
 

@@ -78,7 +78,12 @@ def is_pvalid(u: PString, p: int) -> bool:
     return all(not (bits & (bits >> d)) for d in range(1, p + 1))
 
 
-def _pvalid_bits(p: int, n: int) -> list[int]:
+def pvalid_bits(p: int, n: int) -> list[int]:
+    """All p-valid strings of length n, packed, in lexicographic order.
+
+    The list has pfib(p, n+p+1) entries.  Refused beyond MAX_VERTICES.
+    """
+    check_vertex_limit(p, n)
     # Lexicographic by construction: a leading 0 keeps the packed value,
     # a leading 1 forces at least p zeros (or the rest of the string).
     levels: list[list[int]] = [[0]]
@@ -116,8 +121,7 @@ def enumerate_pstrings(p: int, n: int) -> list[PString]:
     The list has pfib(p, n+p+1) entries; n = 0 yields the empty string and
     p = 0 yields every binary string.  Refused beyond MAX_VERTICES entries.
     """
-    check_vertex_limit(p, n)
-    return [PString(n, bits) for bits in _pvalid_bits(p, n)]
+    return [PString(n, bits) for bits in pvalid_bits(p, n)]
 
 
 def max_weight(p: int, n: int) -> int:

@@ -24,11 +24,13 @@ from .errors import SizeLimitError
 from .graph import (
     PCubeGraph,
     bfs_distances,
+    bitset_ids,
     build,
     check_sweep_limit,
     direction_edge_count,
     direction_edge_count_closed,
     direction_edge_counts_closed,
+    edge_bitsets,
     total_edges_closed,
 )
 from .invariants import (
@@ -112,7 +114,7 @@ def _counts_at(
                 f"expected {closed}"
             )
     # Each weight three ways: the graph's census, the one-pass row, one binomial.
-    census = Counter(v.weight for v in g.vertices)
+    census = Counter(b.bit_count() for b in g.bits)
     top = max_weight(p, n)
     row = weight_census(p, n)
     if len(row) != top + 1:
@@ -141,17 +143,22 @@ def _counts_at(
 def _structure_mismatches(g: PCubeGraph) -> list[str]:
     out = []
     tag = f"p={g.p} n={g.n}"
-    if sum(len(nbrs) for nbrs in g.adjacency) != 2 * g.edge_count:
+    # Per direction, the ids with an edge there: an id with two edges in one
+    # direction counts once, and the degree sum falls short of 2|E|.
+    ends = [0] * (g.n + 1)
+    for i, lows, offset in edge_bitsets(g):
+        ends[i] |= lows | lows << offset
+    if sum(ids.bit_count() for ids in ends) != 2 * g.edge_count:
         out.append(f"{tag}: degree sum != 2|E|")
     # In string order each direction has one id offset, which the census reads.
     if not all(is_pvalid(v, g.p) for v in g.vertices):
         out.append(f"{tag}: a vertex is not {g.p}-valid")
-    bits = [v.bits for v in g.vertices]
+    bits = g.bits
     if any(a >= b for a, b in zip(bits, bits[1:])):
         out.append(f"{tag}: vertex ids do not follow string order")
     for lo, hi, i in g.edges:
-        lo_bits, mask = g.vertices[lo].bits, 1 << (g.n - i)
-        if lo_bits & mask or g.vertices[hi].bits != lo_bits | mask:
+        lo_bits, mask = bits[lo], 1 << (g.n - i)
+        if lo_bits & mask or bits[hi] != lo_bits | mask:
             out.append(f"{tag}: edge {lo}-{hi} does not set exactly bit {i}")
             break
     if g.vertex_count and min(bfs_distances(g, 0)) < 0:
@@ -344,10 +351,14 @@ def _projection_mismatches(g: PCubeGraph, right: dict[int, list]) -> list[str]:
 def _bijection_mismatches(g: PCubeGraph, d: int, pairs: list) -> list[str]:
     tag = f"p={g.p} n={g.n} d={d}"
     smaller = build(g.p, g.n - d)
-    target = {(smaller.vertices[hi].bits, dirn) for _, hi, dirn in smaller.edges}
+    target = {  # (packed 1-endpoint, direction) per edge of the smaller graph
+        (smaller.bits[lo + offset], i)
+        for i, lows, offset in edge_bitsets(smaller)
+        for lo in bitset_ids(lows)
+    }
     images, found = set(), []
     for i, y in pairs:
-        x = g.vertices[y].bits | 1 << (g.n - i)
+        x = g.bits[y] | 1 << (g.n - i)
         hi, _ = project_pair(g, i, i + d, x)
         if found:
             continue  # only a refusal may still come, and it goes first

@@ -8,7 +8,7 @@ import pytest
 from fibpcubes.cubes import cube_census
 from fibpcubes.graph import build
 from fibpcubes.sequences import binomial
-from fibpcubes.strings import max_weight
+from fibpcubes.strings import enumerate_pstrings, max_weight
 
 
 @pytest.fixture(scope="session")
@@ -30,23 +30,54 @@ def census(built):
 
 @pytest.fixture(scope="session")
 def drop_edge():
-    """A copy of a graph with one edge removed; no closed form describes it."""
+    """A copy of a graph with one edge (lo, hi, i) removed from its bitsets.
+
+    No closed form describes the copy.
+    """
 
     def _drop(g, edge):
-        lo, hi, _ = edge
-        adjacency = [list(nbrs) for nbrs in g.adjacency]
-        adjacency[lo].remove(hi)
-        adjacency[hi].remove(lo)
-        return dataclasses.replace(
-            g,
-            adjacency=adjacency,
-            edges=[e for e in g.edges if e != edge],
-            edges_by_direction=[
-                [e for e in per if e != edge] for per in g.edges_by_direction
-            ],
-        )
+        lo, hi, i = edge
+        lows = [dict(per) for per in g.lows]
+        offset = hi - lo
+        assert lows[i].get(offset, 0) >> lo & 1, f"{edge} is not an edge"
+        lows[i][offset] ^= 1 << lo
+        if not lows[i][offset]:
+            del lows[i][offset]
+        return dataclasses.replace(g, lows=lows)
 
     return _drop
+
+
+@pytest.fixture(scope="session")
+def reference_graph():
+    """A graph's vertices, edges and adjacency, found by a pairwise scan.
+
+    Every two p-valid strings are compared; two at Hamming distance 1 make
+    an edge (lo, hi, i), lo the one without the 1 at coordinate i.  No
+    vertex index and no bitset is read.
+    """
+
+    def _graph(p, n):
+        strings = enumerate_pstrings(p, n)
+        edges = []
+        for a, u in enumerate(strings):
+            for b in range(a + 1, len(strings)):
+                diff = u.bits ^ strings[b].bits
+                if diff.bit_count() == 1:
+                    lo, hi = (a, b) if strings[b].bits & diff else (b, a)
+                    edges.append((lo, hi, n - diff.bit_length() + 1))
+        adjacency = [[] for _ in strings]
+        for lo, hi, _ in edges:
+            adjacency[lo].append(hi)
+            adjacency[hi].append(lo)
+        return SimpleNamespace(
+            vertices=strings,
+            edges=sorted(edges),
+            adjacency=[sorted(neighbours) for neighbours in adjacency],
+            per_direction=[sum(i == d for *_, d in edges) for i in range(1, n + 1)],
+        )
+
+    return _graph
 
 
 @pytest.fixture(scope="session")
@@ -91,19 +122,13 @@ def swap_vertices():
     def _swap(g, a, b):
         new = list(range(g.vertex_count))
         new[a], new[b] = b, a  # an involution: old id <-> new id
-
-        def relabel(edges):
-            return sorted((new[lo], new[hi], i) for lo, hi, i in edges)
-
-        vertices = [g.vertices[new[v]] for v in range(g.vertex_count)]
+        bits = [g.bits[new[v]] for v in range(g.vertex_count)]
+        lows = [{} for _ in g.lows]
+        for lo, hi, i in g.edges:
+            offset = new[hi] - new[lo]
+            lows[i][offset] = lows[i].get(offset, 0) | 1 << new[lo]
         return dataclasses.replace(
-            g,
-            vertices=vertices,
-            index={u.bits: v for v, u in enumerate(vertices)},
-            adjacency=[sorted(new[w] for w in g.adjacency[new[v]])
-                       for v in range(g.vertex_count)],
-            edges=relabel(g.edges),
-            edges_by_direction=[relabel(per) for per in g.edges_by_direction],
+            g, bits=bits, index={u: v for v, u in enumerate(bits)}, lows=lows
         )
 
     return _swap

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -262,7 +263,7 @@ class TestVerify:
         def no_strings(*args, **kwargs):
             raise AssertionError("a graph was built")
 
-        monkeypatch.setattr(graph, "enumerate_pstrings", no_strings)
+        monkeypatch.setattr(graph, "pvalid_bits", no_strings)
         code, out, _ = run(capsys, "verify", "gf", "--p", "0..1", "--N", "8")
         assert code == 0
         assert out.splitlines()[-1] == "2/2 checks passed"
@@ -338,6 +339,23 @@ class TestExport:
                              "--output", str(tmp_path / target))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # Length and sha256 of each export of one graph: the vertex, edge and
+    # adjacency views that export reads must keep every byte.
+    @pytest.mark.parametrize(
+        "fmt, length, digest",
+        [
+            ("dot", 3067,
+             "795ca4822fb28446f4e3c5bc3384013479da8758fd1fc30eb2df55fda9585a94"),
+            ("json", 8940,
+             "1170f0db8b831dfc6d0e62653a08cafcc47d5427c7dce37f8cceb06691b298a7"),
+        ],
+    )
+    def test_bytes_are_pinned(self, capsys, fmt, length, digest):
+        code, out, _ = run(capsys, "export", "--p", "2", "--n", "9", "--format", fmt)
+        assert code == 0
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "export", "--p", "2", "--n", "24", "--cap", "20")

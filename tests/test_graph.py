@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibpcubes import cli, graph, invariants
+from fibpcubes import cli, graph, invariants, verify
 from fibpcubes.errors import SizeLimitError
 from fibpcubes.graph import (
     bfs_distances,
@@ -41,6 +41,57 @@ def test_examples(built):
     assert (built(0, 3).vertex_count, built(0, 3).edge_count) == (8, 12)
     g0 = built(3, 0)
     assert g0.vertex_count == 1 and g0.edge_count == 0
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_build_equals_pairwise_scan(reference_graph, p):
+    for n in range(11):
+        g, ref = build(p, n), reference_graph(p, n)
+        assert g.vertices == ref.vertices
+        assert g.bits == [v.bits for v in ref.vertices]
+        assert g.edges == ref.edges
+        assert g.adjacency == ref.adjacency
+        counts = [direction_edge_count(g, i) for i in range(1, n + 1)]
+        assert counts == ref.per_direction
+        assert (g.vertex_count, g.edge_count) == (len(ref.vertices), len(ref.edges))
+
+
+def test_build_records_offsets_as_found(monkeypatch, built, swap_vertices):
+    # With 000001 and 000010 enumerated the other way round, the lookups
+    # still find every edge, and direction 1 keeps the three id offsets it
+    # meets, which the walk then refuses.
+    relabelled = swap_vertices(built(1, 6), 1, 2)
+    enumerate_bits = graph.pvalid_bits
+
+    def swapped(p, n):
+        bits = enumerate_bits(p, n)
+        bits[1], bits[2] = bits[2], bits[1]
+        return bits
+
+    monkeypatch.setattr(graph, "pvalid_bits", swapped)
+    g = build(1, 6)
+    assert (g.bits, g.lows) == (relabelled.bits, relabelled.lows)
+    assert sorted(g.lows[1]) == [12, 13, 14]
+    refusal = r"^direction 1 edges have id offsets \[12, 13, 14\]$"
+    with pytest.raises(ValueError, match=refusal):
+        graph.direction_shifts(g)
+
+
+def test_cube_suite_reads_no_view(monkeypatch):
+    # The census walks the bitsets: no vertex object, edge tuple or
+    # adjacency list is made for it.
+    graphs = []
+
+    def capturing_build(p, n, **kwargs):
+        graphs.append(build(p, n, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(verify, "build", capturing_build)
+    results = verify.run_suite("cubes", [1, 2], range(13))
+    assert all(r.passed for r in results)
+    assert [(g.p, g.n) for g in graphs] == [(p, n) for p in (1, 2) for n in range(13)]
+    for g in graphs:
+        assert not {"edges", "adjacency", "vertices"} & vars(g).keys(), (g.p, g.n)
 
 
 def test_direction_counts(built):

@@ -262,19 +262,27 @@ def test_projection_refusal_fails_a_check(monkeypatch, capsys, drop_edge):
     )
 
 
-def test_mislabelled_edge_fails_structure(monkeypatch, capsys):
-    # the edge 000000-000001 still raises the weight by 1, but claims direction 5
+def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge):
+    # The edge 000000-000001 still raises the weight by 1, but claims
+    # direction 5, where 000000 already has its edge to 000010.
     build = verify.build
 
     def build_with_wrong_direction(p, m, **kwargs):
         g = build(p, m, **kwargs)
-        lo, hi, _ = g.edges[0]
-        return dataclasses.replace(g, edges=[(lo, hi, 5), *g.edges[1:]])
+        lo, hi, i = g.edges[0]
+        h = drop_edge(g, (lo, hi, i))
+        h.lows[5][hi - lo] = h.lows[5].get(hi - lo, 0) | 1 << lo
+        return h
 
+    assert verify._structure_mismatches(build_with_wrong_direction(1, 6)) == [
+        "p=1 n=6: degree sum != 2|E|",
+        "p=1 n=6: edge 0-1 does not set exactly bit 5",
+    ]
     monkeypatch.setattr(verify, "build", build_with_wrong_direction)
     code = cli.main(["verify", "counts", "--p", "1", "--n", "6"])
     assert code == 1
-    assert "FAIL counts/structure p=1: " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL counts/structure p=1: p=1 n=6: degree sum != 2|E|\n" in out
 
 
 # Swapping two ids keeps the graph but breaks string order; relabelling the
