@@ -6,40 +6,18 @@ SIGPIPE).  The only bound on n is the ``--cap`` option of the commands that
 build graphs; the vertex, cube-census and distance-sweep limits belong to
 the modules that allocate the memory.  JSON payloads carry every number
 as a decimal string so that 64-bit consumers cannot silently overflow.
+Each command imports the layers it runs when it runs, so a fresh process
+loads no more than its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Iterator
 
-from .cubes import check_census_limit
 from .errors import SizeLimitError
-from .graph import (
-    build,
-    direction_edge_count,
-    direction_edge_counts_closed,
-    graph_json,
-    mirror,
-    to_dot,
-    total_edges_closed,
-)
-from .invariants import (
-    irregularity_closed,
-    irregularity_oracle,
-    mostar_closed,
-    mostar_oracle,
-    wiener_closed,
-    wiener_oracle,
-)
-from .polynomials import MARKERS
-from .sequences import pfib
-from .series import DEFAULT_ORDER
-from .strings import check_vertex_limit, max_weight, weight_census
-from .verify import CHOICES, closed_poly, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -49,6 +27,12 @@ EXIT_PIPE = 141
 
 # The default --cap: the largest n that verify, export and indices build.
 DEFAULT_CAP = 24
+# The parser's choices and defaults, copied so that parsing loads no layer;
+# a test holds them to verify.CHOICES, tuple(polynomials.MARKERS) and
+# series.DEFAULT_ORDER.
+SUITE_CHOICES = ("cubes", "gf", "indices", "irregularity", "counts", "all")
+POLY_KINDS = ("cube", "weight", "distance")
+DEFAULT_ORDER = 20
 
 
 def _span(text: str) -> tuple[int, int]:
@@ -96,14 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     count.set_defaults(run=cmd_count)
 
     poly = sub.add_parser("poly", help="print one counting polynomial")
-    poly.add_argument("kind", choices=tuple(MARKERS))
+    poly.add_argument("kind", choices=POLY_KINDS)
     poly.add_argument("--p", type=_nonneg, required=True)
     poly.add_argument("--n", type=_nonneg, required=True)
     poly.add_argument("--format", choices=("text", "json"), default="text")
     poly.set_defaults(run=cmd_poly)
 
     verify = sub.add_parser("verify", help="run closed-form vs oracle suites")
-    verify.add_argument("suite", choices=CHOICES)
+    verify.add_argument("suite", choices=SUITE_CHOICES)
     verify.add_argument("--p", type=_span, default=(1, 3), metavar="P[..P2]")
     verify.add_argument(
         "--n", "--n-range", dest="n", type=_span, default=(0, 8), metavar="N[..N2]"
@@ -138,6 +122,10 @@ def _values(span: tuple[int, int]) -> range:
 
 def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
     """(p, n, |V|, |E|, top weight, weight census) per grid point, as ints."""
+    from .graph import total_edges_closed
+    from .sequences import pfib
+    from .strings import max_weight, weight_census
+
     for p in _values(args.p):
         for n in _values(args.n):
             yield (
@@ -151,6 +139,8 @@ def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _write_json(doc: object) -> None:
+    import json
+
     # Streamed chunk by chunk: the text of a large answer never exists whole.
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -201,8 +191,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
+    from . import polynomials
+
     p, n, kind = args.p, args.n, args.kind
-    poly = closed_poly(kind, p, n)
+    poly = getattr(polynomials, polynomials.CLOSED_POLY[kind])(p, n)
     if args.format == "json":
         _write_json({"p": str(p), "n": str(n), "kind": kind, **poly.to_json()})
     else:
@@ -211,6 +203,10 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .cubes import check_census_limit
+    from .strings import check_vertex_limit
+    from .verify import run_suite
+
     n_max, cap = args.n[1], args.cap
     # gf builds no graph; the others' largest graph has the smallest p.
     if args.suite != "gf":
@@ -240,8 +236,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .graph import build, graph_json, to_dot
+
     g = build(args.p, args.n, cap=args.cap)
     if args.format == "json":
+        import json
+
         payload = json.dumps(graph_json(g), indent=2) + "\n"
     else:
         payload = to_dot(g)
@@ -258,6 +258,23 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _indices_doc(args: argparse.Namespace) -> dict:
+    from .graph import (
+        build,
+        direction_edge_count,
+        direction_edge_counts_closed,
+        mirror,
+        total_edges_closed,
+    )
+    from .invariants import (
+        irregularity_closed,
+        irregularity_oracle,
+        mostar_closed,
+        mostar_oracle,
+        wiener_closed,
+        wiener_oracle,
+    )
+    from .sequences import pfib
+
     p, n = args.p, args.n
     closed_dirs = direction_edge_counts_closed(p, n)
     doc: dict = {

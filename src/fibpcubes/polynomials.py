@@ -215,9 +215,6 @@ class BivarPoly(RingElement):
             [data.get((k, d), 0) for k in range(width)] for d in range(height)
         )
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(k, d): c for k, d, c in self.terms}
-
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
         """The nonzero (xdeg, qdeg, coeff) triples, sorted by (xdeg, qdeg)."""
@@ -306,6 +303,13 @@ MARKERS: dict[str, Union[Polynomial, BivarPoly]] = {
     "cube": Polynomial((1, 1)),
     "weight": Polynomial.x(),
     "distance": BivarPoly.from_dict({(1, 0): 1, (0, 1): 1}),
+}
+# The closed form of each kind, by name: a caller looks the name up in its
+# own namespace, so a closed form rebound there is the one it calls.
+CLOSED_POLY = {
+    "cube": "cube_poly_closed",
+    "weight": "weight_poly",
+    "distance": "dist_cube_poly_closed",
 }
 
 

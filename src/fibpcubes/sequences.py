@@ -33,8 +33,16 @@ class PFibTable:
             raise ValueError(f"index must be non-negative, got {n}")
         values = self._values
         step = self.p + 1
-        while len(values) <= n:
-            values.append(values[-1] + values[-step])
+        known = len(values)
+        try:
+            while len(values) <= n:
+                values.append(values[-1] + values[-step])
+        except MemoryError:
+            # The cached table gives back what this call grew.  One entry at
+            # a time: deleting a slice would allocate a buffer for it.
+            while len(values) > known:
+                values.pop()
+            raise
         return values[n]
 
     def prefix(self, n: int) -> list[int]:

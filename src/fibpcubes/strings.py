@@ -39,10 +39,6 @@ class PString:
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.n}")
 
-    @classmethod
-    def from01(cls, text: str) -> "PString":
-        return cls(len(text), int(text, 2) if text else 0)
-
     def to01(self) -> str:
         return format(self.bits, f"0{self.n}b") if self.n else ""
 
@@ -58,10 +54,6 @@ class PString:
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate {i} outside [1, {self.n}]")
         return (self.bits >> (self.n - i)) & 1
-
-    def ones(self) -> tuple[int, ...]:
-        """The coordinates carrying a 1, ascending and 1-based."""
-        return tuple(i for i in range(1, self.n + 1) if (self.bits >> (self.n - i)) & 1)
 
 
 def _check_params(p: int, n: int) -> None:

@@ -47,9 +47,8 @@ from .invariants import (
     wiener_oracle,
 )
 from .polynomials import (
+    CLOSED_POLY,
     MARKERS,
-    BivarPoly,
-    Polynomial,
     cube_count_closed,
     cube_poly_closed,
     dist_cube_count_closed,
@@ -231,20 +230,6 @@ def _cubes_at(
         daisy.append(f"p={p} n={n}: deg C = {poly.degree()} != {top}")
 
 
-def closed_poly(kind: str, p: int, n: int) -> Polynomial | BivarPoly:
-    """The (p, n) polynomial of one MARKERS kind, from its closed form.
-
-    Looked up in this module per call, so a rebound closed form is the one
-    checked.
-    """
-    closed = {
-        "cube": cube_poly_closed,
-        "weight": weight_poly,
-        "distance": dist_cube_poly_closed,
-    }
-    return closed[kind](p, n)
-
-
 def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
     out = bad["identities"]
     denom = gap_denominator(1, p, order)
@@ -253,7 +238,7 @@ def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
         out.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
     gfs = {kind: rational_gf(p, kind, order) for kind in MARKERS}
     for n, (kind, gf) in product(range(order + 1), gfs.items()):
-        closed = closed_poly(kind, p, n)
+        closed = globals()[CLOSED_POLY[kind]](p, n)  # as rebound in this module
         if gf.coeff(n) != closed:
             out.append(
                 f"p={p} n={n}: {kind} gf gives {gf.coeff(n).render()}, "

@@ -8,7 +8,22 @@ import pytest
 from fibpcubes.cubes import cube_census
 from fibpcubes.graph import build
 from fibpcubes.sequences import binomial
-from fibpcubes.strings import enumerate_pstrings, max_weight
+from fibpcubes.strings import PString, enumerate_pstrings, max_weight
+
+
+def from01(text):
+    """The PString spelled by a text of 0s and 1s, u_1 first."""
+    return PString(len(text), int(text, 2) if text else 0)
+
+
+def ones(u):
+    """The coordinates where a PString carries a 1, ascending and 1-based."""
+    return tuple(i for i in range(1, u.n + 1) if (u.bits >> (u.n - i)) & 1)
+
+
+def as_dict(poly):
+    """A BivarPoly's nonzero coefficients, keyed by (x-degree, q-degree)."""
+    return {(k, d): c for k, d, c in poly.terms}
 
 
 @pytest.fixture(scope="session")
@@ -100,10 +115,10 @@ def reference_census():
     def _census(g):
         census = {}
         for top in g.vertices:
-            ones = top.ones()
-            w = len(ones)
+            top_ones = ones(top)
+            w = len(top_ones)
             for k in range(w + 1):
-                for support in combinations(ones, k):
+                for support in combinations(top_ones, k):
                     mask = sum(1 << (g.n - i) for i in support)
                     if _all_members_present(g.index, top.bits ^ mask, mask):
                         census[(k, w - k)] = census.get((k, w - k), 0) + 1

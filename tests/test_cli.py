@@ -21,6 +21,8 @@ from fibpcubes.polynomials import (
 )
 from fibpcubes.verify import CheckResult
 
+from conftest import as_dict
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -152,7 +154,7 @@ class TestPoly:
             {(int(r["k"]), int(r["d"])): int(r["value"]) for r in doc["terms"]}
         )
         assert parsed == dist_cube_poly_closed(2, 4)
-        assert parsed.as_dict().get((1, 1), 0) == 2
+        assert as_dict(parsed).get((1, 1), 0) == 2
 
 
 class TestVerify:
@@ -243,7 +245,7 @@ class TestVerify:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         fake = [CheckResult("demo/identity p=1", False, "p=1 n=2: expected 3, got 4")]
-        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: fake)
+        monkeypatch.setattr(verify, "run_suite", lambda *a, **k: fake)
         code, out, _ = run(capsys, "verify", "all", "--p", "1", "--n", "0..2")
         assert code == 1
         assert "FAIL demo/identity p=1: p=1 n=2: expected 3, got 4" in out

@@ -16,13 +16,15 @@ from fibpcubes.polynomials import (
 from fibpcubes.sequences import kfold_convolution
 from fibpcubes.strings import PString, is_pvalid, max_weight
 
+from conftest import from01
+
 
 def test_single_square(built):
     cubes = enumerate_cubes(built(1, 3), 2)
     assert len(cubes) == 1
     (cube,) = cubes
-    assert cube.top == PString.from01("101")
-    assert cube.bottom == PString.from01("000")
+    assert cube.top == from01("101")
+    assert cube.bottom == from01("000")
     assert cube.support == (1, 3)
 
 
@@ -43,7 +45,7 @@ def test_dimension_one_is_edges(built):
 def test_square_in_longer_gap(built):
     cubes = enumerate_cubes(built(2, 4), 2)
     assert len(cubes) == 1
-    assert cubes[0].top == PString.from01("1001")
+    assert cubes[0].top == from01("1001")
 
 
 def test_above_max_weight_is_empty(built):
@@ -152,9 +154,7 @@ def test_enumeration_is_canonically_sorted(built):
 
 
 def test_induced_cube_value_type():
-    cube = InducedCube(
-        PString.from01("101"), PString.from01("000"), (1, 3)
-    )
+    cube = InducedCube(from01("101"), from01("000"), (1, 3))
     assert cube.k == 2
     assert {cube, InducedCube(PString(3, 5), PString(3, 0), (1, 3))} == {cube}
 

@@ -15,7 +15,8 @@ from fibpcubes.graph import (
     total_edges_closed,
 )
 from fibpcubes.sequences import pfib
-from fibpcubes.strings import PString
+
+from conftest import from01
 
 
 def edge_labels(g):
@@ -174,8 +175,8 @@ def test_edge_recursion():
 def test_bfs(built):
     g = built(1, 3)
     assert bfs_distances(g, 0) == [0, 1, 1, 1, 2]
-    a = g.index[PString.from01("010").bits]
-    b = g.index[PString.from01("101").bits]
+    a = g.index[from01("010").bits]
+    b = g.index[from01("101").bits]
     assert bfs_distances(g, a)[b] == 3
     for v in range(g.vertex_count):
         assert bfs_distances(g, v)[v] == 0

@@ -18,7 +18,8 @@ from fibpcubes.invariants import (
     wiener_closed,
     wiener_oracle,
 )
-from fibpcubes.strings import PString
+
+from conftest import from01
 
 GRID = [(p, n) for p in (1, 2, 3) for n in range(10)]
 
@@ -51,7 +52,7 @@ class TestPairwiseReference:
         # 000000-100000 lies on the square through 000001 and 100001, so the
         # graph stays connected but is no longer a partial cube.
         g = built(1, 6)
-        h = drop_edge(g, (0, g.index[PString.from01("100000").bits], 1))
+        h = drop_edge(g, (0, g.index[from01("100000").bits], 1))
         dist = all_pairs_distances(h)
         assert min(map(min, dist)) == 0
         assert wiener_oracle(h) == pairwise_wiener(dist) > wiener_closed(1, 6)
@@ -62,7 +63,7 @@ class TestPairwiseReference:
         g = build(1, 6)
         wiener = wiener_oracle(g)
         assert "distance_sums" in vars(g)
-        h = drop_edge(g, (0, g.index[PString.from01("100000").bits], 1))
+        h = drop_edge(g, (0, g.index[from01("100000").bits], 1))
         assert "distance_sums" not in vars(h)
         assert wiener_oracle(h) == pairwise_wiener(all_pairs_distances(h)) > wiener
         assert wiener_oracle(g) == wiener
@@ -70,7 +71,7 @@ class TestPairwiseReference:
     def test_disconnected_graph(self, built, drop_edge):
         # the path 01-00-10 without 00-10 leaves 10 on its own
         g = built(1, 2)
-        h = drop_edge(g, (0, g.index[PString.from01("10").bits], 1))
+        h = drop_edge(g, (0, g.index[from01("10").bits], 1))
         with pytest.raises(ValueError):
             wiener_oracle(h)
         assert mostar_oracle(h) == pairwise_mostar(h, all_pairs_distances(h)) == 0
@@ -206,7 +207,7 @@ class TestImbalanceCensus:
         # neighbour while 01 and 11 keep theirs, so deg y - deg x is -1 on
         # the edges 00-01 and 10-11, two unforced edges at (2, 1)
         g = built(0, 2)
-        h = drop_edge(g, (0, g.index[PString.from01("10").bits], 1))
+        h = drop_edge(g, (0, g.index[from01("10").bits], 1))
         assert imbalance_census(h) == [ImbalanceRow(2, 1, (), 2)]
         gaps = sum(len(h.adjacency[lo]) - len(h.adjacency[hi]) for lo, hi, _ in h.edges)
         assert gaps == -2

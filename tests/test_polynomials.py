@@ -21,6 +21,8 @@ from fibpcubes.polynomials import (
 from fibpcubes.sequences import binomial
 from fibpcubes.strings import max_weight
 
+from conftest import as_dict
+
 coeff_lists = st.lists(st.integers(-50, 50), max_size=6)
 polys = coeff_lists.map(Polynomial.from_coeffs)
 # (k, d) -> coefficient, zeros included
@@ -127,7 +129,7 @@ class TestBivarPoly:
             # no row ends in 0, and the last row is not empty
             assert all(type(row) is tuple and row[-1] for row in h.rows if row)
             assert not h.rows or h.rows[-1]
-            assert h.rows == BivarPoly.from_dict(h.as_dict()).rows
+            assert h.rows == BivarPoly.from_dict(as_dict(h)).rows
 
     @given(bivar_dicts, bivar_dicts, bivar_dicts)
     def test_ring_axioms(self, fd, gd, hd):
@@ -142,12 +144,12 @@ class TestBivarPoly:
     @given(big_bivar_dicts, big_bivar_dicts)
     def test_matches_sparse_reference(self, sparse_bivar, fd, gd):
         f, g = BivarPoly.from_dict(fd), BivarPoly.from_dict(gd)
-        assert f.as_dict() == sparse_bivar.add(fd, {})
-        assert (f + g).as_dict() == sparse_bivar.add(fd, gd)
-        assert (-f).as_dict() == sparse_bivar.neg(fd)
-        assert (f - g).as_dict() == sparse_bivar.add(fd, sparse_bivar.neg(gd))
-        assert (f * g).as_dict() == sparse_bivar.mul(fd, gd)
-        assert f.swap().as_dict() == sparse_bivar.swap(fd)
+        assert as_dict(f) == sparse_bivar.add(fd, {})
+        assert as_dict(f + g) == sparse_bivar.add(fd, gd)
+        assert as_dict(-f) == sparse_bivar.neg(fd)
+        assert as_dict(f - g) == sparse_bivar.add(fd, sparse_bivar.neg(gd))
+        assert as_dict(f * g) == sparse_bivar.mul(fd, gd)
+        assert as_dict(f.swap()) == sparse_bivar.swap(fd)
         assert hash(f.swap().swap()) == hash(f)
 
     def test_arithmetic(self):
@@ -244,7 +246,7 @@ class TestClosedForms:
 
     def test_dist_poly_examples(self):
         d = dist_cube_poly_closed(1, 3)
-        assert d.as_dict().get((1, 1), 0) == 2
+        assert as_dict(d).get((1, 1), 0) == 2
         base = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
         assert dist_cube_poly_closed(2, 4) == 1 + 4 * base + base**2
         one_x_q = BivarPoly.from_dict({(0, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -256,7 +258,7 @@ class TestClosedForms:
             for n in range(11):
                 d = dist_cube_poly_closed(p, n)
                 top = max_weight(p, n)
-                terms = d.as_dict()
+                terms = as_dict(d)
                 for k in range(top + 2):
                     for dd in range(top + 2):
                         assert terms.get((k, dd), 0) == dist_cube_count_closed(p, n, k, dd)

@@ -79,6 +79,33 @@ def test_table_is_append_only():
     assert table.prefix(6) is not table._values
 
 
+class RunsOut(int):
+    """An int whose sums succeed `left` more times, then raise MemoryError."""
+
+    def __new__(cls, value, left):
+        self = super().__new__(cls, value)
+        self.left = left
+        return self
+
+    def __add__(self, other):
+        if not self.left:
+            raise MemoryError
+        return RunsOut(int(self) + other, self.left - 1)
+
+
+def test_table_out_of_memory_gives_back_what_it_grew():
+    # The cache would otherwise stay filled to the limit that was hit, and
+    # the process could not even exit cleanly.
+    table = PFibTable(1)
+    first = table.prefix(10)
+    table._values[-1] = RunsOut(first[-1], 5)
+    with pytest.raises(MemoryError):
+        table.value(100)
+    assert table._values == first
+    table._values[-1] = first[-1]
+    assert table.value(30) == classical_fibonacci(30)
+
+
 def test_rejects_negative_arguments():
     with pytest.raises(ValueError):
         PFibTable(-1)

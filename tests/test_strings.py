@@ -15,6 +15,8 @@ from fibpcubes.strings import (
     weight_census,
 )
 
+from conftest import from01, ones
+
 
 def naive_valid(text, p):
     ones = [i for i, ch in enumerate(text) if ch == "1"]
@@ -32,21 +34,21 @@ def brute_enumeration(p, n):
 class TestPString:
     def test_round_trip(self):
         for text in ("", "0", "1", "1001", "0110"):
-            assert PString.from01(text).to01() == text
+            assert from01(text).to01() == text
 
     def test_weight_and_ones(self):
-        u = PString.from01("10010")
+        u = from01("10010")
         assert u.weight == 2
-        assert u.ones() == (1, 4)
-        assert PString.from01("").ones() == ()
+        assert ones(u) == (1, 4)
+        assert ones(from01("")) == ()
 
     def test_bit_is_one_indexed_from_left(self):
-        u = PString.from01("100")
+        u = from01("100")
         assert [u.bit(i) for i in (1, 2, 3)] == [1, 0, 0]
 
     def test_ordering_is_lexicographic(self):
         texts = ["0011", "1100", "0000", "0101"]
-        strings = sorted(PString.from01(t) for t in texts)
+        strings = sorted(from01(t) for t in texts)
         assert [s.to01() for s in strings] == sorted(texts)
 
     def test_validation(self):
@@ -55,16 +57,16 @@ class TestPString:
         with pytest.raises(ValueError):
             PString(2, 4)
         with pytest.raises(ValueError):
-            PString.from01("10").bit(3)
+            from01("10").bit(3)
         with pytest.raises(ValueError):
-            PString.from01("10").bit(0)
+            from01("10").bit(0)
 
 
 class TestValidity:
     def test_examples(self):
-        assert is_pvalid(PString.from01("1001"), 2)
-        assert not is_pvalid(PString.from01("1010"), 2)
-        assert is_pvalid(PString.from01("0000"), 5)
+        assert is_pvalid(from01("1001"), 2)
+        assert not is_pvalid(from01("1010"), 2)
+        assert is_pvalid(from01("0000"), 5)
 
     def test_p_zero_accepts_everything(self):
         for bits in range(16):
@@ -73,7 +75,7 @@ class TestValidity:
     @given(st.integers(0, 3), st.binary(min_size=0, max_size=2))
     def test_matches_naive_gap_check(self, p, raw):
         text = "".join(format(b, "08b") for b in raw)
-        assert is_pvalid(PString.from01(text), p) == naive_valid(text, p)
+        assert is_pvalid(from01(text), p) == naive_valid(text, p)
 
 
 class TestEnumeration:

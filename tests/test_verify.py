@@ -91,7 +91,7 @@ def test_misaligned_mirror_fails(monkeypatch, capsys, check):
     # The closed forms that read only the half row stay right; the full
     # row's per-direction check and its sum of squares catch the fault.
     original = verify.direction_edge_counts_closed
-    for module in (graph, invariants, verify, cli):
+    for module in (graph, invariants, verify):
         monkeypatch.setattr(
             module,
             "direction_edge_counts_closed",
