@@ -21,13 +21,13 @@ _MODULE_OF = {
         "errors": "SizeLimitError",
         "graph": "PCubeGraph bfs_distances build direction_edge_count "
         "direction_edge_count_closed direction_edge_counts_closed graph_json "
-        "to_dot total_edges_closed",
+        "to_dot",
         "invariants": "ImbalanceRow imbalance_census irregularity_closed "
         "irregularity_oracle left_pairs lift_edge mostar_closed mostar_oracle "
         "project_pair right_pairs wiener_closed wiener_oracle",
         "polynomials": "BivarPoly Polynomial cube_count_closed cube_poly_closed "
         "dist_cube_count_closed dist_cube_poly_closed substitute weight_poly",
-        "sequences": "PFibTable binomial kfold_convolution pfib",
+        "sequences": "PFibTable binomial kfold_convolution pfib total_edges_closed",
         "series": "DEFAULT_ORDER TruncatedSeries pfib_series rational_gf "
         "verify_cube_count_gf verify_weight_gf_expansion",
         "strings": "PString count_by_weight enumerate_pstrings is_pvalid "

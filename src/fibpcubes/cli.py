@@ -122,8 +122,7 @@ def _values(span: tuple[int, int]) -> range:
 
 def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
     """(p, n, |V|, |E|, top weight, weight census) per grid point, as ints."""
-    from .graph import total_edges_closed
-    from .sequences import pfib
+    from .sequences import pfib_terms, total_edges_closed
     from .strings import max_weight, weight_census
 
     for p in _values(args.p):
@@ -131,7 +130,7 @@ def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
             yield (
                 p,
                 n,
-                pfib(p, n + p + 1),
+                pfib_terms(p, n + p + 1)[0],
                 total_edges_closed(p, n),
                 max_weight(p, n),
                 weight_census(p, n),
@@ -258,13 +257,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _indices_doc(args: argparse.Namespace) -> dict:
-    from .graph import (
-        build,
-        direction_edge_count,
-        direction_edge_counts_closed,
-        mirror,
-        total_edges_closed,
-    )
+    from .graph import build, direction_edge_count, direction_edge_counts_closed, mirror
     from .invariants import (
         irregularity_closed,
         irregularity_oracle,
@@ -273,14 +266,13 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         wiener_closed,
         wiener_oracle,
     )
-    from .sequences import pfib
+    from .sequences import pfib_terms, total_edges_closed
 
     p, n = args.p, args.n
-    closed_dirs = direction_edge_counts_closed(p, n)
     doc: dict = {
         "p": str(p),
         "n": str(n),
-        "vertices": str(pfib(p, n + p + 1)),
+        "vertices": str(pfib_terms(p, n + p + 1)[0]),
         "edges": str(total_edges_closed(p, n)),
         "wiener": {"closed": str(wiener_closed(p, n)), "oracle": None},
         "mostar": {"closed": str(mostar_closed(p, n)), "oracle": None},
@@ -290,7 +282,9 @@ def _indices_doc(args: argparse.Namespace) -> dict:
             "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
         },
         "edge_counts_by_direction": {
-            "closed": mirror([str(c) for c in closed_dirs[: (n + 1) // 2]], n),
+            "closed": mirror(
+                [str(c) for c in direction_edge_counts_closed(p, n)[: (n + 1) // 2]], n
+            ),
             "oracle": None,
         },
     }

@@ -26,10 +26,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from weakref import WeakValueDictionary
 
 from .errors import SizeLimitError
-from .sequences import pfib, pfib_table
+from .sequences import direction_products, pfib
+# Re-exported: perfbench/tracer.py times it as graph.total_edges_closed.
+from .sequences import total_edges_closed  # noqa: F401
 from .strings import PString, pvalid_bits
 
 # (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
@@ -180,14 +181,6 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
     return pfib(p, i) * pfib(p, n - i + 1)
 
 
-class _Row(list):
-    """A list that a weak reference can point to."""
-
-
-# Each (p, n) row of direction counts that some caller still holds.
-_held_rows: "WeakValueDictionary[tuple[int, int], _Row]" = WeakValueDictionary()
-
-
 def mirror(half: list, n: int) -> list:
     """The palindrome of length n whose first ceil(n/2) entries are ``half``.
 
@@ -196,37 +189,15 @@ def mirror(half: list, n: int) -> list:
     return half + half[: n // 2][::-1]
 
 
-def half_and_middle(row: list[int]) -> tuple[list[int], int]:
-    """The entries before a row's middle, and the middle entry (0 if none).
-
-    A palindrome sums to twice the first part plus the middle entry.
-    """
-    half, odd = divmod(len(row), 2)
-    return row[:half], row[half] if odd else 0
-
-
 def direction_edge_counts_closed(p: int, n: int) -> list[int]:
     """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
 
-    The row is a palindrome, so one table prefix F_1 .. F_n, read forwards
-    and backwards, gives the ceil(n/2) products of the first half and
-    ``mirror`` the rest.  A row that a caller still holds is handed out
-    again, not rebuilt, so ``indices`` lists and sums one row for the Wiener
-    and Mostar closed forms; no row outlives its last holder.  Callers must
-    not mutate it.
+    The row is a palindrome, so only the ceil(n/2) products of its first
+    half are made, and ``mirror`` gives the rest.  Their factors come from
+    two windows of p + 1 values: F_1, F_2, ... rising from the seed, and
+    F_n, F_{n-1}, ... falling from F_{n-p} .. F_n; no table of F is kept.
     """
-    row = _held_rows.get((p, n))
-    if row is None:
-        fib = pfib_table(p).prefix(n)[1:]
-        half = [a * b for a, b in zip(fib[: (n + 1) // 2], reversed(fib))]
-        row = _held_rows[p, n] = _Row(mirror(half, n))
-    return row
-
-
-def total_edges_closed(p: int, n: int) -> int:
-    """Closed form for the size of the graph: sum of F^p_i F^p_{n-i+1}."""
-    half, middle = half_and_middle(direction_edge_counts_closed(p, n))
-    return 2 * sum(half) + middle
+    return mirror(list(direction_products(p, n)), n)
 
 
 def check_sweep_limit(order: int) -> None:

@@ -21,16 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import (
-    PCubeGraph,
-    bfs_distances,
-    bitset_ids,
-    direction_edge_counts_closed,
-    direction_shifts,
-    edge_bitsets,
-    half_and_middle,
-)
-from .sequences import pfib, pfib_table
+from .graph import PCubeGraph, bfs_distances, bitset_ids, direction_shifts, edge_bitsets
+from .sequences import edge_terms, pfib_terms, square_sum_closed, total_edges_closed
 
 
 def all_pairs_distances(g: PCubeGraph) -> list[list[int]]:
@@ -47,18 +39,17 @@ def wiener_oracle(g: PCubeGraph) -> int:
 
 
 @lru_cache(maxsize=1)
-def _direction_sums(p: int, n: int) -> tuple[int, int]:
-    # (|E|, sum of squared direction counts), kept for the last (p, n) only
-    # so that Wiener and Mostar share one pass over the first half of the
-    # palindromic row; the row itself is dropped.
-    half, middle = half_and_middle(direction_edge_counts_closed(p, n))
-    return 2 * sum(half) + middle, 2 * sum(c * c for c in half) + middle * middle
+def _closed_parts(p: int, n: int) -> tuple[int, int]:
+    # (|V| * |E|, sum of squared direction counts), kept for the last (p, n)
+    # only, so that Wiener and Mostar share one pass of each sequence.
+    order_times_size = pfib_terms(p, n + p + 1)[0] * total_edges_closed(p, n)
+    return order_times_size, square_sum_closed(p, n)
 
 
 def wiener_closed(p: int, n: int) -> int:
     """|V| * |E| minus the sum of squared per-direction edge counts."""
-    edges, squares = _direction_sums(p, n)
-    return pfib(p, n + p + 1) * edges - squares
+    order_times_size, squares = _closed_parts(p, n)
+    return order_times_size - squares
 
 
 def mostar_oracle(g: PCubeGraph) -> int:
@@ -75,8 +66,8 @@ def mostar_oracle(g: PCubeGraph) -> int:
 
 def mostar_closed(p: int, n: int) -> int:
     """|V| * |E| minus twice the sum of squared per-direction edge counts."""
-    edges, squares = _direction_sums(p, n)
-    return pfib(p, n + p + 1) * edges - 2 * squares
+    order_times_size, squares = _closed_parts(p, n)
+    return order_times_size - 2 * squares
 
 
 def irregularity_oracle(g: PCubeGraph) -> int:
@@ -101,20 +92,13 @@ def irregularity_oracle(g: PCubeGraph) -> int:
 def irregularity_closed(p: int, n: int) -> int:
     """Twice the sum of the edge counts of the p previous lengths.
 
-    The theorem irr = 2 * sum_{d=1..p} |E(n - d)|, summed in one pass:
-    with |E(m)| = sum_i F_i F_{m-i+1}, each F_i meets the window sum
-    F_{n-i-p+1} + ... + F_{n-i} (indices below 1 dropped), which telescopes
-    through F_{j+p+1} - F_{j+p} = F_j to F_{n-i+p+1} - F_{max(n-i+1, p+1)}.
-    Only valid for n >= p; smaller n must go through the oracle.  One table
-    prefix F_0 .. F_{n+p} serves every term.
+    The theorem irr = 2 * sum_{d=1..p} |E(n - d)|, with the p counts
+    |E(n - p)| .. |E(n - 1)| taken together.  Only valid for n >= p; smaller
+    n must go through the oracle.
     """
     if n < p:
         raise ValueError(f"closed form needs n >= p, got n = {n} < p = {p}")
-    fib = pfib_table(p).prefix(n + p)
-    return 2 * sum(
-        fib[i] * (fib[n - i + p + 1] - fib[max(n - i + 1, p + 1)])
-        for i in range(1, n)
-    )
+    return 2 * sum(edge_terms(p, n - p, p))
 
 
 class ImbalanceRow(NamedTuple):

@@ -376,7 +376,7 @@ def _marked_expansion(
     if any(c < 0 for _, _, c in terms):
         raise ValueError("a marker coefficient is negative; slots would borrow")
     top = max_weight(p, n)
-    binoms = [binomial(n - a * p + p, a) for a in range(top + 1)]
+    binoms = weight_census(p, n)  # binom(n - a*p + p, a) for a = 0 .. top
     at_one, bound = sum(c for _, _, c in terms), 0
     for b in reversed(binoms):
         bound = bound * at_one + b

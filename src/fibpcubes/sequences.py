@@ -2,12 +2,28 @@
 
 Everything downstream counts with these values, and the counts overflow
 64 bits quickly, so all arithmetic stays on Python ints.
+
+Each value comes two ways.  The table route, ``PFibTable``, keeps every
+F_0 .. F_n.  The jump, ``recurrent_terms``, reaches the n-th term of a
+linearly recurrent sequence in O(log n) squarings of d ints, where d is
+the order of its recurrence.  It serves |V| = F(n+p+1), the edge count
+|E(n)| = sum F_i F_{n-i+1}, and S(n) = sum (F_i F_{n-i+1})^2, so the
+scalar closed forms hold O(n) bits where the table holds Theta(n^2).  The
+jump stores only each sequence's first terms, taken from the table route.
+
+The orders are p + 1, 2p + 2 and (p+1)(p+2), and the jump costs about d^2
+products, so where p is large beside n the same terms come by stepping up
+from the seed through windows of O(p) values instead (``_jump_pays``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import deque
+from functools import cache
+from itertools import chain, islice, repeat
+from operator import mul
+from typing import Iterator, Sequence
 
 
 class PFibTable:
@@ -98,3 +114,230 @@ def kfold_convolution(p: int, k: int, m: int) -> int:
     for _ in range(k):
         acc = convolve_prefix(acc, base, m)
     return acc[m]
+
+
+def recurrent_terms(
+    denominator: Sequence[int], initial: Sequence[int], n: int, count: int = 1
+) -> list[int]:
+    """The terms a_n .. a_{n+count-1} of a linearly recurrent sequence.
+
+    The sequence starts with the stored ``initial`` terms and goes on by
+    the recurrence of its integer denominator Q = 1 + q_1 t + ... + q_d t^d:
+    a_k = -(q_1 a_{k-1} + ... + q_d a_{k-d}) for every k >= len(initial).
+    A stored term is returned as it is.  Past them, with s = len(initial) - d,
+    a_{s+m} = sum_j r_j a_{s+j} for the remainder r = x^m mod chi, chi =
+    x^d + q_1 x^{d-1} + ... + q_d (Fiduccia, SIAM J. Comput. 14, 1985),
+    found by square-and-multiply on lists of d ints; the remainders grow
+    only with the largest root.  The later terms reuse r: a_{s+m+k} =
+    sum_j r_j a_{s+j+k}.
+    """
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
+    out = list(initial[n : n + count])
+    rest = count - len(out)
+    if rest <= 0:
+        return out
+    d = len(denominator) - 1
+    lead = len(initial) - d
+    taps = [(k, -q) for k, q in enumerate(denominator) if k and q]
+    window = list(initial[lead:])  # a_s .. a_{s+d-1}, then as many as the reuse reads
+    while len(window) < d + rest - 1:
+        window.append(sum(c * window[-k] for k, c in taps))
+    r = _power_mod(n + len(out) - lead, taps, d)
+    out.extend(sum(a * b for a, b in zip(r, window[k:])) for k in range(rest))
+    return out
+
+
+def _power_mod(m: int, taps: list[tuple[int, int]], d: int) -> list[int]:
+    """x^m mod x^d - sum c x^(d-k) over taps (k, c), as its d coefficients."""
+    r = [1] + [0] * (d - 1)
+    for bit in bin(m)[2:]:
+        r = _reduce(_square(r), taps, d)
+        if bit == "1":
+            r = _reduce([0] + r, taps, d)
+    return r
+
+
+def _square(r: Sequence[int]) -> list[int]:
+    """The coefficients of the square, one product per unordered pair."""
+    out = [0] * (2 * len(r) - 1)
+    for i, a in enumerate(r):
+        if a:
+            out[2 * i] += a * a
+            twice = a + a
+            for j in range(i + 1, len(r)):
+                if r[j]:
+                    out[i + j] += twice * r[j]
+    return out
+
+
+def _reduce(poly: list[int], taps: list[tuple[int, int]], d: int) -> list[int]:
+    """poly below degree d, folding each top term by x^d = sum c x^(d-k)."""
+    for top in range(len(poly) - 1, d - 1, -1):
+        high = poly.pop()
+        if high:
+            for k, c in taps:
+                poly[top - k] += c * high
+    return poly
+
+
+@cache
+def _squared(denominator: tuple[int, ...]) -> tuple[int, ...]:
+    """The square of a denominator, kept for each denominator asked for."""
+    return tuple(_square(denominator))
+
+
+def pfib_denominator(p: int) -> tuple[int, ...]:
+    """Q = 1 - t - t^(p+1), the denominator of sum F_n t^n; 1 - 2t at p = 0."""
+    q = [1] + [0] * (p + 1)
+    q[1] -= 1
+    q[p + 1] -= 1
+    return tuple(q)
+
+
+def edge_denominator(p: int) -> tuple[int, ...]:
+    """Q^2: sum |E(n)| t^n = t / Q^2, since |E(n)| is [t^(n+1)] of (t / Q)^2."""
+    return _squared(pfib_denominator(p))
+
+
+def _power_sums(denominator: Sequence[int], count: int) -> list[int]:
+    """The power sums s_1 .. s_count of Q's reciprocal roots, at those indices.
+
+    Newton's identities: k q_k = -(s_1 q_{k-1} + ... + s_k q_0), q_k = 0 past d.
+    Index 0 holds 0 and is not read.
+    """
+    d = len(denominator) - 1
+    s = [0] * (count + 1)
+    for k in range(1, count + 1):
+        s[k] = -(k * denominator[k] if k <= d else 0) - sum(
+            denominator[j] * s[k - j] for j in range(1, min(k, d + 1))
+        )
+    return s
+
+
+@cache
+def pair_denominator(p: int) -> tuple[int, ...]:
+    """Q_S = prod_{j <= k} (1 - l_j l_k t) over the roots l of x^(p+1) - x^p - 1.
+
+    F_i = sum_j c_j l_j^i, so F_i^2 is a sum of (l_j l_k)^i and
+    sum F_i^2 t^i has denominator Q_S, of degree (p+1)(p+2)/2.  In
+    integers: the products l_j l_k have the power sums (s_m^2 + s_2m) / 2,
+    where s are the power sums of the l, and Newton's identities turn them
+    into Q_S; every division is exact.
+    """
+    degree = (p + 1) * (p + 2) // 2
+    s = _power_sums(pfib_denominator(p), 2 * degree)
+    pairs = [(s[m] * s[m] + s[2 * m]) // 2 for m in range(degree + 1)]
+    q = [1]
+    for k in range(1, degree + 1):
+        q.append(-sum(pairs[i] * q[k - i] for i in range(1, k + 1)) // k)
+    return tuple(q)
+
+
+@cache
+def _direction_power_sums(p: int, power: int, count: int) -> tuple[int, ...]:
+    # The table route for m < count: sum over i of (F_i F_{m-i+1})^power.
+    fib = pfib_table(p).prefix(count)
+    return tuple(
+        sum((fib[i] * fib[m - i + 1]) ** power for i in range(1, m + 1))
+        for m in range(count)
+    )
+
+
+# Below this many products either route answers within milliseconds.
+JUMP_BUDGET = 1 << 16
+
+
+def _jump_pays(order: int, n: int) -> bool:
+    """Whether the jump, not the windows, serves term n of a recurrence of this order.
+
+    The jump's stored terms, its denominator and each of its squarings cost
+    about order^2 products; stepping up through windows costs about n steps.
+    """
+    return order * order * max(n.bit_length(), 1) <= max(n, JUMP_BUDGET)
+
+
+def pfib_terms(p: int, n: int, count: int = 1) -> list[int]:
+    """F_n .. F_{n+count-1}; the jump stores F_0 .. F_p (F_0, F_1 at p = 0)."""
+    if _jump_pays(p + 1, n):
+        return recurrent_terms(
+            pfib_denominator(p), pfib_table(p).prefix(max(p, 1)), n, count
+        )
+    return list(islice(chain((0,), pfib_rising(p)), n, n + count))
+
+
+def edge_terms(p: int, n: int, count: int = 1) -> list[int]:
+    """|E(n)| .. |E(n+count-1)|; the jump stores the first 2p + 2."""
+    if _jump_pays(2 * p + 2, n):
+        q = edge_denominator(p)
+        return recurrent_terms(q, _direction_power_sums(p, 1, 2 * p + 2), n, count)
+    return list(islice(edges_rising(p), n, n + count))
+
+
+def total_edges_closed(p: int, n: int) -> int:
+    """Closed form for the size of the graph: sum of F^p_i F^p_{n-i+1}."""
+    return edge_terms(p, n)[0]
+
+
+def square_sum_closed(p: int, n: int) -> int:
+    """S(n) = sum of (F_i F_{n-i+1})^2.
+
+    By the jump, S is the self-convolution of F_i^2, shifted by one, over
+    the denominator Q_S^2, and its first (p+1)(p+2) terms are stored.  By
+    the windows, it is the sum of squares of the palindromic row.
+    """
+    if _jump_pays((p + 1) * (p + 2), n):
+        q = _squared(pair_denominator(p))
+        return recurrent_terms(q, _direction_power_sums(p, 2, len(q) - 1), n)[0]
+    total = square = 0
+    for count in direction_products(p, n):
+        square = count * count
+        total += square
+    return 2 * total - (square if n % 2 else 0)
+
+
+def pfib_rising(p: int) -> Iterator[int]:
+    """F_1, F_2, ... without end, from a window of the last p + 1 values."""
+    yield from repeat(1, p + 1)
+    window = deque(repeat(1, p + 1), maxlen=p + 1)  # F_{k-p-1} .. F_{k-1}
+    while True:
+        window.append(window[-1] + window[0])
+        yield window[-1]
+
+
+def pfib_falling(p: int, n: int) -> Iterator[int]:
+    """F_n, F_{n-1}, ..., F_1, each from a window of the p + 1 values above it.
+
+    The top window F_{n-p} .. F_n comes from the jump, and each step down is
+    F_{k-p-1} = F_k - F_{k-1}.  At p = 0 that step would read F_{k-1} =
+    F_k - F_{k-1}; there F_k = 2^(k-1), and each step halves.
+    """
+    if n < 1:
+        return
+    if p == 0:
+        top = pfib_terms(0, n)[0]
+        yield from (top >> j for j in range(n))
+        return
+    low = max(n - p, 0)
+    window = deque(pfib_terms(p, low, n - low + 1))  # F_{k-p} .. F_k
+    for k in range(n, 0, -1):
+        top = window.pop()
+        yield top
+        if k > p + 1:
+            window.appendleft(top - window[-1])
+
+
+def edges_rising(p: int) -> Iterator[int]:
+    """|E(0)|, |E(1)|, ... without end: |E(k)| = k up to k = p, then
+    |E(k)| = |E(k-1)| + |E(k-p-1)| + F_k, from a window of p + 1 counts."""
+    yield from range(p + 1)
+    window = deque(range(p + 1), maxlen=p + 1)  # |E(k-p-1)| .. |E(k-1)|
+    for fib in islice(pfib_rising(p), p, None):  # F_{p+1}, F_{p+2}, ...
+        window.append(window[-1] + window[0] + fib)
+        yield window[-1]
+
+
+def direction_products(p: int, n: int) -> Iterator[int]:
+    """F_i F_{n-i+1} for i = 1 .. ceil(n/2), the first half of the palindromic
+    row of per-direction edge counts, from a rising and a falling window."""
+    return map(mul, islice(pfib_rising(p), (n + 1) // 2), pfib_falling(p, n))

@@ -31,7 +31,6 @@ from .graph import (
     direction_edge_count_closed,
     direction_edge_counts_closed,
     edge_bitsets,
-    total_edges_closed,
 )
 from .invariants import (
     imbalance_census,
@@ -56,7 +55,7 @@ from .polynomials import (
     substitute,
     weight_poly,
 )
-from .sequences import kfold_convolution, pfib
+from .sequences import kfold_convolution, pfib, total_edges_closed
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -255,7 +254,6 @@ def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
 def _indices_at(
     bad: PerCheck, notes: PerCheck, graph: PointGraph, p: int, n: int
 ) -> None:
-    counts = direction_edge_counts_closed(p, n)  # held, so the two below reuse it
     wc, mc = wiener_closed(p, n), mostar_closed(p, n)
     try:  # the graph serves only the distance oracles: skip it with them
         check_sweep_limit(pfib(p, n + p + 1))
@@ -269,8 +267,10 @@ def _indices_at(
             bad["wiener"].append(f"p={p} n={n}: oracle {wo} closed {wc}")
         if mo != mc:
             bad["mostar"].append(f"p={p} n={n}: oracle {mo} closed {mc}")
-    squares = sum(c * c for c in counts)
-    if wc - mc != squares or squares < 0:
+    # The jump's sum of squares against the listed row's and the table's.
+    listed = sum(c * c for c in direction_edge_counts_closed(p, n))
+    table = sum(direction_edge_count_closed(p, n, i) ** 2 for i in range(1, n + 1))
+    if not wc - mc == listed == table:
         bad["wiener-mostar-gap"].append(f"p={p} n={n}: W - Mo != sum of squared |E_i|")
 
 

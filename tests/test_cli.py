@@ -6,13 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fibpcubes
-from fibpcubes import cli, graph, invariants, verify
+from fibpcubes import cli, graph, sequences, verify
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
@@ -53,15 +54,17 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 ))
 
 
-def run_limited(*argv, limit_kb=1_500_000):
-    """The CLI in a child process limited to limit_kb of address space and 30 s."""
+def run_limited(*argv, limit_kb=1_500_000, code=None):
+    """The CLI, or the given code, in a child limited to limit_kb of address
+    space and 30 s."""
     limit = limit_kb * 1024
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    args = ["-c", code] if code is not None else ["-m", "fibpcubes", *argv]
     return subprocess.run(
-        [sys.executable, "-m", "fibpcubes", *argv], capture_output=True,
+        [sys.executable, *args], capture_output=True,
         text=True, env=CHILD_ENV, preexec_fn=cap_memory, timeout=30,
     )
 
@@ -397,16 +400,64 @@ class TestSizeLimits:
         )
 
     def test_out_of_memory_is_one_error_line(self):
-        # No budget refuses this yet: the table of every F_i alone is ~0.9 GB.
+        # No budget refuses this yet: the weight census alone is ~1.25 GB.
         done = run_limited("count", "--p", "1", "--n", "200000", limit_kb=150_000)
         assert done.returncode == 3
         assert done.stdout == ""
         assert done.stderr == "error: out of memory\n"
 
+    def test_scalar_closed_forms_need_no_table(self):
+        # At n = 10^5 the table of every F_i alone needs 460 MB at p = 1; the
+        # jump holds a few n-bit numbers.  The edge recursion ties the values.
+        code = textwrap.dedent("""
+            from fibpcubes import (
+                irregularity_closed, mostar_closed, total_edges_closed, wiener_closed,
+            )
+            from fibpcubes.sequences import pfib_terms, square_sum_closed
+            n = 10**5
+            for p in (1, 2):
+                edges = [total_edges_closed(p, m) for m in range(n - p - 1, n + 1)]
+                assert edges[-1] == edges[-2] + edges[0] + pfib_terms(p, n)[0]
+                wiener, mostar = wiener_closed(p, n), mostar_closed(p, n)
+                assert wiener - mostar == square_sum_closed(p, n) > 0
+                assert irregularity_closed(p, n) == 2 * sum(edges[1:-1])
+                print(p, edges[-1].bit_length(), wiener.bit_length())
+        """)
+        done = run_limited(code=code, limit_kb=100_000)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1 69440 138864\n2 55161 110308\n"
+
     def test_huge_p_small_n_answers_at_once(self):
         done = run_limited("export", "--p", BILLION, "--n", "3")
         assert done.returncode == 0, done.stderr
         assert done.stdout.count(";") == 4 + 3
+
+    @pytest.mark.parametrize(
+        "p, n", [("1000000", "3"), ("5000", "20000"), ("100000", "200000")]
+    )
+    def test_large_p_count_answers_at_once(self, p, n):
+        # The jump's orders are p + 1 and 2p + 2, about p^2 products; where p
+        # is large beside n the windows step n + p times instead.
+        done = run_limited("count", "--p", p, "--n", n, "--format", "json")
+        assert done.returncode == 0, done.stderr
+        (point,) = json.loads(done.stdout)
+        census = [int(c) for c in point["weight_census"]]
+        assert int(point["vertices"]) == sum(census)
+        assert int(point["edges"]) == sum(w * c for w, c in enumerate(census))
+
+    @pytest.mark.parametrize("p, n", [("300", "5"), ("40", "10"), ("100", "20000")])
+    def test_large_p_indices_answer_at_once(self, p, n):
+        # S alone has order (p+1)(p+2): at p = 300 the jump would store
+        # 90902 terms, and the windows sum the row's squares instead.
+        done = run_limited("indices", "--p", p, "--n", n, "--cap", "0")
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        row = [int(c) for c in doc["edge_counts_by_direction"]["closed"]]
+        assert int(doc["edges"]) == sum(row)
+        wiener, mostar = int(doc["wiener"]["closed"]), int(doc["mostar"]["closed"])
+        squares = sum(c * c for c in row)
+        assert wiener - mostar == squares
+        assert wiener == int(doc["vertices"]) * sum(row) - squares
 
 
 class TestIndices:
@@ -453,16 +504,22 @@ class TestIndices:
         assert doc["mostar"]["oracle"] == doc["mostar"]["closed"]
 
     def test_one_direction_row_serves_every_closed_value(self, monkeypatch, capsys):
-        # The listed row is the one the Wiener and Mostar closed forms sum.
-        invariants._direction_sums.cache_clear()
+        # The row is built once, for the list.  The Wiener and Mostar closed
+        # forms take their sum of squares from the jump, which agrees with
+        # the listed row's, and no table of F reaches n.
         built_for = []
-        table = graph.pfib_table
+        row = graph.direction_edge_counts_closed
         monkeypatch.setattr(
-            graph, "pfib_table", lambda p: built_for.append(p) or table(p)
+            graph,
+            "direction_edge_counts_closed",
+            lambda p, n: built_for.append((p, n)) or row(p, n),
         )
+        tables = {}
+        monkeypatch.setattr(sequences, "_tables", tables)
         code, out, _ = run(capsys, "indices", "--p", "2", "--n", "37", "--cap", "0")
         assert code == 0
-        assert built_for == [2]
+        assert built_for == [(2, 37)]
+        assert all(len(table._values) < 37 for table in tables.values())
         doc = json.loads(out)
         squares = sum(int(c) ** 2 for c in doc["edge_counts_by_direction"]["closed"])
         assert int(doc["wiener"]["closed"]) - int(doc["mostar"]["closed"]) == squares
@@ -550,7 +607,6 @@ class TestStreamedOutput:
         # chunks, the joined text and its encoding all alive at once.
         sink = Discard()
         monkeypatch.setattr(sys, "stdout", sink)
-        invariants._direction_sums.cache_clear()
         tracemalloc.start()
         try:
             assert cli.main(list(argv)) == 0

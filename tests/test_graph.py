@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibpcubes import cli, graph, invariants, verify
+from fibpcubes import cli, graph, verify
 from fibpcubes.errors import SizeLimitError
 from fibpcubes.graph import (
     bfs_distances,
@@ -14,7 +14,7 @@ from fibpcubes.graph import (
     to_dot,
     total_edges_closed,
 )
-from fibpcubes.sequences import pfib
+from fibpcubes.sequences import pfib, square_sum_closed
 
 from conftest import from01
 
@@ -118,14 +118,6 @@ def test_direction_closed_form(built):
                 ) == direction_edge_count_closed(p, n, n + 1 - i)
 
 
-def test_direction_row_shared_while_held():
-    row = direction_edge_counts_closed(3, 21)
-    assert direction_edge_counts_closed(3, 21) is row
-    assert row == [direction_edge_count_closed(3, 21, i) for i in range(1, 22)]
-    del row  # no row outlives its last holder
-    assert (3, 21) not in graph._held_rows
-
-
 @pytest.mark.parametrize("p", range(5))
 def test_mirrored_row_is_the_full_row(p):
     # n = 0 and n = 1, then odd n with a middle entry and even n without.
@@ -134,7 +126,7 @@ def test_mirrored_row_is_the_full_row(p):
         assert row == [direction_edge_count_closed(p, n, i) for i in range(1, n + 1)]
         assert all(row[n - i] is row[i - 1] for i in range(1, n // 2 + 1))
         assert total_edges_closed(p, n) == sum(row)
-        assert invariants._direction_sums(p, n) == (sum(row), sum(c * c for c in row))
+        assert square_sum_closed(p, n) == sum(c * c for c in row)
 
 
 def test_direction_counts_match_closed(built):

@@ -22,10 +22,10 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH")))
 ))
 
-# What `count` loads: |E| and the direction row are closed forms in graph.
-COUNT_LAYERS = {"cli", "errors", "graph", "sequences", "strings"}
+# What `count` loads: |V| and |E| are jumps in sequences, the census is in strings.
+COUNT_LAYERS = {"cli", "errors", "sequences", "strings"}
 EVERY_LAYER = COUNT_LAYERS | {
-    "cubes", "invariants", "polynomials", "series", "verify",
+    "cubes", "graph", "invariants", "polynomials", "series", "verify",
 }
 
 
@@ -52,8 +52,9 @@ def loaded_layers(*argv):
         (("count", "--p", "1", "--n", "5", "--format", "json"), COUNT_LAYERS),
         (("count", "--p", "x", "--n", "5"), {"cli", "errors"}),
         (("indices", "--p", "2", "--n", "9", "--cap", "0"),
-         COUNT_LAYERS | {"invariants"}),
-        (("export", "--p", "1", "--n", "4", "--format", "json"), COUNT_LAYERS),
+         COUNT_LAYERS | {"graph", "invariants"}),
+        (("export", "--p", "1", "--n", "4", "--format", "json"),
+         COUNT_LAYERS | {"graph"}),
         (("poly", "cube", "--p", "0", "--n", "9"),
          {"cli", "errors", "polynomials", "sequences", "strings"}),
         (("verify", "gf", "--p", "0", "--N", "4"), EVERY_LAYER),

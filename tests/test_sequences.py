@@ -1,15 +1,30 @@
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibpcubes import invariants, sequences
+from fibpcubes.invariants import irregularity_closed
 from fibpcubes.sequences import (
     PFibTable,
+    _jump_pays,
     binomial,
     convolve_prefix,
+    direction_products,
+    edge_denominator,
+    edge_terms,
+    edges_rising,
     kfold_convolution,
+    pair_denominator,
     pfib,
+    pfib_falling,
+    pfib_rising,
+    pfib_table,
+    pfib_terms,
+    recurrent_terms,
+    square_sum_closed,
+    total_edges_closed,
 )
 
 
@@ -115,6 +130,8 @@ def test_rejects_negative_arguments():
         kfold_convolution(1, -1, 3)
     with pytest.raises(ValueError):
         kfold_convolution(1, 1, -3)
+    with pytest.raises(ValueError):
+        total_edges_closed(1, -1)
 
 
 def test_binomial_convention():
@@ -157,3 +174,119 @@ def test_kfold_matches_tuple_enumeration():
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 10))
 def test_kfold_matches_tuple_enumeration_random(p, k, m):
     assert kfold_convolution(p, k, m) == tuple_sum_oracle(p, k, m)
+
+
+def table_sums(p, last, power):
+    """sum_i (F_i F_{m-i+1})^power for m = 0 .. last, from the table."""
+    fib = pfib_table(p).prefix(last + 1)
+    return [
+        sum((fib[i] * fib[m - i + 1]) ** power for i in range(1, m + 1))
+        for m in range(last + 1)
+    ]
+
+
+def recurrence_holds(denominator, terms, start):
+    """sum_j q_j a_{k-j} = 0 for every k from start to the last term."""
+    return all(
+        sum(q * terms[k - j] for j, q in enumerate(denominator)) == 0
+        for k in range(start, len(terms))
+    )
+
+
+def test_jump_returns_stored_terms_then_recurs():
+    # a_k = a_{k-1} + 2 a_{k-2} from 0, 1: the Jacobsthal numbers.
+    q, initial = (1, -1, -2), (0, 1)
+    jacobsthal = [(2**k - (-1) ** k) // 3 for k in range(70)]
+    for n in range(60):
+        assert recurrent_terms(q, initial, n) == [jacobsthal[n]]
+        assert recurrent_terms(q, initial, n, 10) == jacobsthal[n : n + 10]
+    assert recurrent_terms(q, initial, 5, 0) == []
+    # A longer start: the recurrence a_k = 2 a_{k-1} holds only from k = 2.
+    assert recurrent_terms((1, -2), (0, 1), 0, 6) == [0, 1, 2, 4, 8, 16]
+
+
+@pytest.fixture(params=["jump", "windows"])
+def route(request, monkeypatch):
+    """Every scalar sequence by the one route, whatever its cost."""
+    monkeypatch.setattr(
+        sequences, "_jump_pays", lambda order, n: request.param == "jump"
+    )
+    invariants._closed_parts.cache_clear()
+    yield request.param
+    invariants._closed_parts.cache_clear()
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_each_route_matches_the_table(p, route):
+    last = 300
+    fib = pfib_table(p).prefix(last + p + 1)
+    edges = table_sums(p, last, 1)
+    squares = table_sums(p, last, 2)
+    assert pfib_terms(p, 0, last + p + 2) == fib
+    assert edge_terms(p, 0, last + 1) == edges
+    for n in range(last + 1):
+        assert pfib_terms(p, n + p + 1) == [fib[n + p + 1]]
+        assert total_edges_closed(p, n) == edges[n]
+        assert square_sum_closed(p, n) == squares[n]
+        if n >= p:
+            assert irregularity_closed(p, n) == 2 * sum(edges[n - p : n])
+
+
+def test_jump_serves_small_p_and_windows_large_p():
+    # Every scalar of the grids p 0..6, n 0..300 goes through the jump, so
+    # the denominators' fault rows reach it.
+    assert all(
+        _jump_pays(order, n)
+        for p in range(7)
+        for order in (p + 1, 2 * p + 2, (p + 1) * (p + 2))
+        for n in range(301)
+    )
+    # Where p is large beside n the jump's ~order^2 products lose to n steps.
+    assert not _jump_pays(10**6 + 1, 10**6 + 4)
+    assert not _jump_pays(301 * 302, 5)
+    assert not _jump_pays(101 * 102, 20000)
+    assert _jump_pays(3 * 4, 8000) and _jump_pays(7 * 8, 10**5)
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_square_sum_denominator_is_certified(p):
+    # Q_S has degree (p+1)(p+2)/2, and Q_S^2 annihilates S on twice its
+    # order in terms past the (p+1)(p+2) stored ones.
+    q_s = pair_denominator(p)
+    degree = (p + 1) * (p + 2) // 2
+    assert len(q_s) == degree + 1 and q_s[0] == 1 and q_s[-1] != 0
+    order = 2 * degree
+    q = [
+        sum(q_s[j] * q_s[k - j] for j in range(max(0, k - degree), min(k, degree) + 1))
+        for k in range(order + 1)
+    ]
+    assert recurrence_holds(q, table_sums(p, 3 * order - 1, 2), order)
+    # Q_S alone annihilates F_i^2, after F_0 = 0 at p = 0.
+    squares = [f * f for f in pfib_table(p).prefix(3 * degree + 1)]
+    assert recurrence_holds(q_s, squares, degree + 1)
+    assert recurrence_holds(edge_denominator(p), table_sums(p, 6 * p + 6, 1), 2 * p + 2)
+
+
+def test_square_sum_denominator_of_the_classical_squares():
+    # sum F_i^2 t^i = t (1 - t) / ((1 + t)(1 - 3t + t^2)).
+    assert pair_denominator(1) == (1, -2, -2, 1)
+    assert pair_denominator(0) == (1, -4)
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_windows_run_both_ways(p, route):
+    fib = pfib_table(p).prefix(60)
+    assert list(islice(pfib_rising(p), 60)) == fib[1:]
+    for n in range(61):
+        assert list(pfib_falling(p, n)) == fib[n:0:-1]
+        assert list(direction_products(p, n)) == [
+            fib[i] * fib[n - i + 1] for i in range(1, (n + 1) // 2 + 1)
+        ]
+    assert list(islice(edges_rising(p), 61)) == table_sums(p, 60, 1)
+
+
+def test_windows_start_lazily_at_huge_p():
+    # Neither window holds p + 1 values before it reads past the seed.
+    huge = 10**12
+    assert list(islice(pfib_rising(huge), 3)) == [1, 1, 1]
+    assert list(islice(edges_rising(huge), 4)) == [0, 1, 2, 3]

@@ -2,10 +2,11 @@
 broken on purpose, makes that check fail."""
 
 import dataclasses
+import functools
 
 import pytest
 
-from fibpcubes import cli, graph, invariants, polynomials, verify
+from fibpcubes import cli, graph, invariants, polynomials, sequences, verify
 from fibpcubes.series import TruncatedSeries
 from fibpcubes.verify import CheckResult
 
@@ -88,16 +89,15 @@ def mirror_off_by_one(row):
     "check", ["counts/directions", "indices/wiener-mostar-gap"]
 )
 def test_misaligned_mirror_fails(monkeypatch, capsys, check):
-    # The closed forms that read only the half row stay right; the full
-    # row's per-direction check and its sum of squares catch the fault.
+    # The scalar closed forms do not read the row and stay right; the
+    # per-direction check and the row's sum of squares catch the fault.
     original = verify.direction_edge_counts_closed
-    for module in (graph, invariants, verify):
+    for module in (graph, verify):
         monkeypatch.setattr(
             module,
             "direction_edge_counts_closed",
             lambda p, n: mirror_off_by_one(original(p, n)),
         )
-    invariants._direction_sums.cache_clear()
     suite = check.split("/")[0]
     results = verify.run_suite(suite, [1], range(5))
     assert [r.passed for r in results if r.name == f"{check} p=1"] == [False]
@@ -105,6 +105,53 @@ def test_misaligned_mirror_fails(monkeypatch, capsys, check):
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4"])
     assert code == 1
     assert f"FAIL {check} p=1: p=1 n=3" in capsys.readouterr().out
+
+
+# Per denominator: the grid's last n at p = 1 and 2, and the checks that
+# fail.  The jump takes over from the stored terms at n = 2p + 2 for |E|
+# and at (p+1)(p+2) for S, and irr reads |E| only up to n - 1.
+JUMP_FAULTS = {
+    "edge_denominator": ({1: 6, 2: 8}, ("counts/size", "irregularity/closed-form")),
+    "pair_denominator": (
+        {1: 8, 2: 14}, ("indices/wiener", "indices/mostar", "indices/wiener-mostar-gap")
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "denominator, p, k",
+    [
+        (name, p, k)
+        for name in JUMP_FAULTS
+        for p in (1, 2)
+        for k in range(1, len(getattr(sequences, name)(p)))
+    ],
+)
+def test_denominator_off_by_one_fails_its_checks(monkeypatch, capsys, denominator, p, k):
+    # One coefficient of the |E| denominator Q^2, or of Q_S, one too large:
+    # every term the jump computes past the stored ones comes out wrong.
+    original = getattr(sequences, denominator)
+    monkeypatch.setattr(
+        sequences,
+        denominator,
+        lambda p: tuple(c + (i == k) for i, c in enumerate(original(p))),
+    )
+    # Wiener and Mostar share their parts through a cache of one (p, n): a
+    # cache of this test's own keeps a faulty value from outliving it.
+    fresh = functools.lru_cache(maxsize=1)(invariants._closed_parts.__wrapped__)
+    monkeypatch.setattr(invariants, "_closed_parts", fresh)
+    last, checks = JUMP_FAULTS[denominator]
+    for suite in sorted({check.split("/")[0] for check in checks}):
+        results = verify.run_suite(suite, [p], range(last[p] + 1))
+        failed = {r.name for r in results if not r.passed}
+        assert {f"{c} p={p}" for c in checks if c.startswith(suite)} <= failed
+
+        code = cli.main(["verify", suite, "--p", str(p), "--n", f"0..{last[p]}"])
+        assert code == 1
+        out = capsys.readouterr().out
+        for check in checks:
+            if check.startswith(suite):
+                assert f"FAIL {check} p={p}: " in out
 
 
 @pytest.mark.parametrize(
