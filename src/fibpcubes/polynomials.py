@@ -6,8 +6,9 @@ helper adds two of them for either kind.  Both kinds share one ring rule:
 an int enters as a constant, and zero, one, subtraction, the reflected
 operators and powers are derived from each kind's const, +, unary - and
 *.  Degrees stay tiny while coefficients grow huge, so everything is exact
-int arithmetic; the closed cube and distance polynomials are expanded on
-one packed int.
+int arithmetic.  The closed cube polynomial is expanded by Horner's rule
+on one packed int, and the distance polynomial is read off the weight row
+with one Pascal row per weight.
 """
 
 from __future__ import annotations
@@ -332,87 +333,41 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 7) // 8
 
 
-def _times_marker(acc: int, shifts: list[tuple[int, int]]) -> int:
-    """The packed acc times the packed marker, given as descending (shift, c).
+def cube_poly_closed(p: int, n: int) -> Polynomial:
+    """Induced-cube counting polynomial, x marking the dimension.
 
-    Horner over the marker's terms: one shift and one add per term, so the
-    cube marker 1 + x costs (acc << slot) + acc.
+    C = sum over weights a of binom(n - a*p + p, a) * (1 + x)^a, by Horner's
+    rule acc -> acc * (1 + x) + binom_a from the top weight down to 0, on
+    one packed int (Kronecker substitution): x^k is slot k, and a product
+    by 1 + x is one C-level shift and add, (acc << slot) + acc.  Every slot
+    is wide enough for the bound C(1) = sum_a binom_a * 2^a: no coefficient
+    of acc is negative, so none exceeds its value at x = 1, and no slot
+    carries into the next.  The result is read back from one ``to_bytes``,
+    one ``int.from_bytes`` per slot.
+
+    At most three packed-size ints are alive at once.  The expansion stays
+    an iterated multiplication by 1 + x, never a binomial expansion of its
+    powers, so the binomial double sum in cube_count_closed remains an
+    independent route to the same numbers.
     """
-    (above, c), *rest = shifts
-    out = acc if c == 1 else c * acc
-    for shift, c in rest:
-        out = (out << (above - shift)) + (acc if c == 1 else c * acc)
-        above = shift
-    return out << above if above else out
-
-
-def _marked_expansion(
-    p: int, n: int, marker: Union[Polynomial, BivarPoly]
-) -> Union[Polynomial, BivarPoly]:
-    """The sum over weights a of binom(n - a*p + p, a) * marker^a.
-
-    Horner's rule, acc -> acc * marker + binom_a from the top weight down to
-    0, on one packed int (Kronecker substitution).  The monomial x^k q^d is
-    slot k + d * stride, where stride exceeds the result's x-degree by one
-    (top + 1 for the markers here), and every slot has the same byte width.
-    The width holds the bound sum_a binom_a * marker(1)^a: a marker has no
-    negative coefficient (one that has is refused), so no coefficient of acc
-    exceeds its value at x = q = 1, which is at most that bound, and no slot
-    carries into the next.  A marker term costs one C-level shift and add
-    per weight, and the result is read back from one ``to_bytes``, one
-    ``int.from_bytes`` per slot whose total degree is at most top times the
-    marker's: for x + q that is the triangle k + d <= top.
-
-    The packed int is freed before the result is built, and at most three
-    packed-size ints are alive at once.  The expansion stays an iterated
-    multiplication by the marker, never a binomial expansion of marker^a,
-    so the binomial double sums in cube_count_closed and
-    dist_cube_count_closed remain an independent route to the same numbers.
-    """
-    if isinstance(marker, Polynomial):
-        terms = [(k, 0, c) for k, c in enumerate(marker.coeffs) if c]
-    else:
-        terms = marker.terms
-    if any(c < 0 for _, _, c in terms):
-        raise ValueError("a marker coefficient is negative; slots would borrow")
-    top = max_weight(p, n)
     binoms = weight_census(p, n)  # binom(n - a*p + p, a) for a = 0 .. top
-    at_one, bound = sum(c for _, _, c in terms), 0
+    bound = 0
     for b in reversed(binoms):
-        bound = bound * at_one + b
+        bound = 2 * bound + b
     width = _slot_bytes(bound)
-    stride = top * max(k for k, _, _ in terms) + 1
-    height = top * max(d for _, d, _ in terms) + 1
-    reach = top * max(k + d for k, d, _ in terms)  # the largest total degree
-    shifts = sorted(
-        (((k + d * stride) * 8 * width, c) for k, d, c in terms), reverse=True
-    )
+    bits = 8 * width
     acc = 0
     for b in reversed(binoms):
-        acc = _times_marker(acc, shifts) + b
+        acc = (acc << bits) + acc + b
     data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
     del acc
     from_bytes = int.from_bytes  # one lookup, not one per slot
-    found = [
+    return Polynomial.from_coeffs(
         [
             from_bytes(data[s : s + width], "little")
-            for s in range(
-                d * stride * width,
-                (d * stride + min(stride, reach + 1 - d)) * width,
-                width,
-            )
+            for s in range(0, len(binoms) * width, width)
         ]
-        for d in range(min(height, reach + 1))
-    ]
-    del data
-    if isinstance(marker, Polynomial):
-        return Polynomial.from_coeffs(found[0])
-    return BivarPoly.from_rows(found)
-
-
-def cube_poly_closed(p: int, n: int) -> Polynomial:
-    """Induced-cube counting polynomial, x marking the dimension."""
-    return _marked_expansion(p, n, MARKERS["cube"])
+    )
 
 
 def cube_count_closed(p: int, n: int, k: int) -> int:
@@ -431,8 +386,22 @@ def weight_poly(p: int, n: int) -> Polynomial:
 
 
 def dist_cube_poly_closed(p: int, n: int) -> BivarPoly:
-    """Bivariate cube counts, x marking dimension and q bottom distance."""
-    return _marked_expansion(p, n, MARKERS["distance"])
+    """Bivariate cube counts, x marking dimension and q bottom distance.
+
+    D = sum over weights s of W_s * (x + q)^s, with W = weight_census(p, n),
+    so x^k q^d has coefficient W_{k+d} * binom(k + d, k): one pass over the
+    weight row, with the Pascal row binom(s, .) updated by adding
+    neighbours, so no binomial is computed entry by entry.  Row d of the
+    result holds the top + 1 - d coefficients from s = d up.
+    """
+    census = weight_census(p, n)
+    rows: list[list[int]] = [[] for _ in census]
+    pascal = [1]  # binom(s, k) for k = 0 .. s
+    for s, w in enumerate(census):
+        for row, c in zip(rows[s::-1], pascal):  # rows[s - k] gets x^k
+            row.append(w * c)
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
+    return BivarPoly.from_rows(rows)
 
 
 def dist_cube_count_closed(p: int, n: int, k: int, d: int) -> int:

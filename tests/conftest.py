@@ -154,7 +154,9 @@ def ring_expansion():
     """The sum over weights a of binom(n - a*p + p, a) * marker^a, in the ring.
 
     One ring product per weight for the power and one for each term: the
-    reference that the packed expansion in ``polynomials`` is held to.
+    reference that each kind's closed form in ``polynomials`` is held to,
+    the packed Horner of the cube polynomial and the weight-row pass of
+    the distance polynomial alike.
     """
 
     def _expand(p, n, marker):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibpcubes import polynomials
 from fibpcubes.polynomials import (
+    CLOSED_POLY,
     MARKERS,
     NEG_INF,
     BivarPoly,
     Polynomial,
-    _marked_expansion,
     cube_count_closed,
     cube_poly_closed,
     dist_cube_count_closed,
@@ -297,23 +298,21 @@ class TestPackedExpansion:
     # n from 0 up, so every p > 0 meets n < p as well
     @pytest.mark.parametrize("kind", list(MARKERS))
     def test_matches_ring_expansion(self, ring_expansion, kind):
+        closed = getattr(polynomials, CLOSED_POLY[kind])
         marker = MARKERS[kind]
         for p in range(5):
             for n in range(41):
-                expected = ring_expansion(p, n, marker)
-                assert _marked_expansion(p, n, marker) == expected, (p, n)
+                assert closed(p, n) == ring_expansion(p, n, marker), (p, n)
 
     def test_matches_ring_expansion_at_large_n(self, ring_expansion):
         cube = MARKERS["cube"]
-        assert _marked_expansion(0, 300, cube) == ring_expansion(0, 300, cube)
+        assert cube_poly_closed(0, 300) == ring_expansion(0, 300, cube)
 
-    @pytest.mark.parametrize(
-        "marker",
-        [
-            Polynomial.from_coeffs([1, -1]),
-            BivarPoly.from_dict({(1, 0): 1, (0, 1): -2}),
-        ],
-    )
-    def test_negative_marker_refused(self, marker):
-        with pytest.raises(ValueError, match="negative"):
-            _marked_expansion(1, 4, marker)
+    @pytest.mark.parametrize("p, n", [(0, 400), (1, 600)])
+    def test_distance_rows_at_large_n(self, p, n):
+        d = dist_cube_poly_closed(p, n)
+        top = max_weight(p, n)
+        assert [len(row) for row in d.rows] == [top + 1 - k for k in range(top + 1)]
+        assert at_q(d, 0) == weight_poly(p, n)
+        assert at_q(d, 1) == cube_poly_closed(p, n)
+        assert d.swap() == d
