@@ -6,8 +6,12 @@ SIGPIPE).  The only bound on n is the ``--cap`` option of the commands that
 build graphs; the vertex, cube-census and distance-sweep limits belong to
 the modules that allocate the memory.  JSON payloads carry every number
 as a decimal string so that 64-bit consumers cannot silently overflow.
-Each command imports the layers it runs when it runs, so a fresh process
-loads no more than its command needs.
+The rows that ``count`` and ``indices`` print, the weight census and the
+per-direction edge counts, are computed on exact decimals
+(``sequences.decimal_row``), whose text takes time linear in its digits
+where an int's is quadratic; the checks compare the int rows.  Each command
+imports the layers it runs when it runs, so a fresh process loads no more
+than its command needs.
 """
 
 from __future__ import annotations
@@ -121,8 +125,9 @@ def _values(span: tuple[int, int]) -> range:
 
 
 def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
-    """(p, n, |V|, |E|, top weight, weight census) per grid point, as ints."""
-    from .sequences import pfib_terms, total_edges_closed
+    """(p, n, |V|, |E|, top weight, weight census) per grid point: the
+    census as exact decimals, the rest as ints."""
+    from .sequences import decimal_row, pfib_terms, total_edges_closed
     from .strings import max_weight, weight_census
 
     for p in _values(args.p):
@@ -133,7 +138,7 @@ def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
                 pfib_terms(p, n + p + 1)[0],
                 total_edges_closed(p, n),
                 max_weight(p, n),
-                weight_census(p, n),
+                decimal_row(weight_census, p, n),
             )
 
 
@@ -146,10 +151,10 @@ def _write_json(doc: object) -> None:
 
 
 class _Decimals(list):
-    """Ints that the JSON encoder meets as decimal strings, one at a time.
+    """Exact decimals that the JSON encoder meets as strings, one at a time.
 
     With an indent the encoder iterates a list, so each string exists only
-    while its chunk is written.
+    while its chunk is written, and the row stays as compact as its ints.
     """
 
     def __iter__(self) -> Iterator[str]:
@@ -176,7 +181,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             ]
         )
         return EXIT_OK
-    # The rows stay ints until each number is written; every row is
+    # Each weight becomes text only when it is written; every row is
     # computed before the first byte.
     header, line, sep = _COUNT_LINES[args.format]
     points = list(_count_points(args))
@@ -184,7 +189,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     out.write(header)
     for *head, census in points:
         out.write(line.format(*head) + str(census[0]))
-        out.writelines(f"{sep}{c}" for c in census[1:])
+        out.writelines(sep + str(c) for c in census[1:])
         out.write("\n")
     return EXIT_OK
 
@@ -257,7 +262,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def _indices_doc(args: argparse.Namespace) -> dict:
-    from .graph import build, direction_edge_count, direction_edge_counts_closed, mirror
+    """The indices answer; the per-direction row only for JSON, which prints it."""
+    from .graph import build, direction_edge_count, mirror
     from .invariants import (
         irregularity_closed,
         irregularity_oracle,
@@ -266,7 +272,12 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         wiener_closed,
         wiener_oracle,
     )
-    from .sequences import pfib_terms, total_edges_closed
+    from .sequences import (
+        decimal_row,
+        direction_products,
+        pfib_terms,
+        total_edges_closed,
+    )
 
     p, n = args.p, args.n
     doc: dict = {
@@ -281,24 +292,22 @@ def _indices_doc(args: argparse.Namespace) -> dict:
             "oracle": None,
             "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
         },
-        "edge_counts_by_direction": {
-            "closed": mirror(
-                [str(c) for c in direction_edge_counts_closed(p, n)[: (n + 1) // 2]], n
-            ),
-            "oracle": None,
-        },
     }
-    if n <= args.cap:
-        g = build(p, n)
+    g = build(p, n) if n <= args.cap else None
+    if g is not None:
         doc["irregularity"]["oracle"] = str(irregularity_oracle(g))
-        doc["edge_counts_by_direction"]["oracle"] = [
-            str(direction_edge_count(g, i)) for i in range(1, n + 1)
-        ]
         try:  # beyond the sweep limit the distance oracles stay null
             doc["wiener"]["oracle"] = str(wiener_oracle(g))
             doc["mostar"]["oracle"] = str(mostar_oracle(g))
         except SizeLimitError:
             pass
+    if args.format == "json":
+        doc["edge_counts_by_direction"] = {
+            "closed": _Decimals(mirror(decimal_row(direction_products, p, n), n)),
+            "oracle": None
+            if g is None
+            else [str(direction_edge_count(g, i)) for i in range(1, n + 1)],
+        }
     return doc
 
 

@@ -23,7 +23,7 @@ from collections import deque
 from functools import cache
 from itertools import chain, islice, repeat
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class PFibTable:
@@ -296,30 +296,38 @@ def square_sum_closed(p: int, n: int) -> int:
     return 2 * total - (square if n % 2 else 0)
 
 
-def pfib_rising(p: int) -> Iterator[int]:
-    """F_1, F_2, ... without end, from a window of the last p + 1 values."""
-    yield from repeat(1, p + 1)
-    window = deque(repeat(1, p + 1), maxlen=p + 1)  # F_{k-p-1} .. F_{k-1}
+def pfib_rising(p: int, one=1) -> Iterator:
+    """F_1, F_2, ... without end, from a window of the last p + 1 values.
+
+    Every value is a sum of seeds ``one``: ints by default, exact decimals
+    for ``decimal_row``.  The falling window and the row of products below
+    take the same seed.
+    """
+    yield from repeat(one, p + 1)
+    window = deque(repeat(one, p + 1), maxlen=p + 1)  # F_{k-p-1} .. F_{k-1}
     while True:
         window.append(window[-1] + window[0])
         yield window[-1]
 
 
-def pfib_falling(p: int, n: int) -> Iterator[int]:
+def pfib_falling(p: int, n: int, one=1) -> Iterator:
     """F_n, F_{n-1}, ..., F_1, each from a window of the p + 1 values above it.
 
-    The top window F_{n-p} .. F_n comes from the jump, and each step down is
-    F_{k-p-1} = F_k - F_{k-1}.  At p = 0 that step would read F_{k-1} =
-    F_k - F_{k-1}; there F_k = 2^(k-1), and each step halves.
+    The top window F_{n-p} .. F_n comes from the jump, as ints times ``one``,
+    and each step down is F_{k-p-1} = F_k - F_{k-1}.  At p = 0 that step
+    would read F_{k-1} = F_k - F_{k-1}; there F_k = 2^(k-1), and each step
+    halves.
     """
     if n < 1:
         return
     if p == 0:
-        top = pfib_terms(0, n)[0]
-        yield from (top >> j for j in range(n))
+        top = one * pfib_terms(0, n)[0]
+        for _ in range(n):
+            yield top
+            top = top // 2
         return
     low = max(n - p, 0)
-    window = deque(pfib_terms(p, low, n - low + 1))  # F_{k-p} .. F_k
+    window = deque(one * f for f in pfib_terms(p, low, n - low + 1))  # F_{k-p} .. F_k
     for k in range(n, 0, -1):
         top = window.pop()
         yield top
@@ -337,7 +345,44 @@ def edges_rising(p: int) -> Iterator[int]:
         yield window[-1]
 
 
-def direction_products(p: int, n: int) -> Iterator[int]:
+def direction_products(p: int, n: int, one=1) -> Iterator:
     """F_i F_{n-i+1} for i = 1 .. ceil(n/2), the first half of the palindromic
     row of per-direction edge counts, from a rising and a falling window."""
-    return map(mul, islice(pfib_rising(p), (n + 1) // 2), pfib_falling(p, n))
+    return map(
+        mul, islice(pfib_rising(p, one), (n + 1) // 2), pfib_falling(p, n, one)
+    )
+
+
+def decimal_row(row: Callable[..., Iterable], p: int, n: int) -> list:
+    """The entries of ``row(p, n, one)`` as exact decimals, from one = 1.
+
+    Python's int -> str is quadratic in the digits; a ``decimal.Decimal``
+    holds base-10 words, and its str() is linear (Brent and Zimmermann,
+    Modern Computer Arithmetic, 1.7).  The row's recurrence runs on them
+    under ``exact_context``, where any step that would round raises instead.
+    A row that is made lazily is consumed inside that context.  The decimals
+    serve only as text: every check compares the int rows.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext(exact_context()):
+        return list(row(p, n, Decimal(1)))
+
+
+def exact_context():
+    """A decimal context with the largest precision and exponents, which
+    traps every condition that would make a result inexact."""
+    import decimal
+
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[
+            decimal.Inexact,
+            decimal.Rounded,
+            decimal.InvalidOperation,
+            decimal.Overflow,
+            decimal.DivisionByZero,
+        ],
+    )

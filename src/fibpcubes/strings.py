@@ -134,7 +134,7 @@ def count_by_weight(p: int, n: int, w: int) -> int:
     return binomial(n - w * p + p, w)
 
 
-def weight_census(p: int, n: int) -> list[int]:
+def weight_census(p: int, n: int, one=1) -> list:
     """The counts by weight, w = 0 .. max_weight(p, n), built in one pass.
 
     With m = n - w*p + p, each entry follows from the one before by the
@@ -142,9 +142,10 @@ def weight_census(p: int, n: int) -> list[int]:
     prod_{j=0..p} (m - w - j) / ((w + 1) * prod_{j<p} (m - j)).  The two
     products share the factors m - p + 1 .. m - w, and cancelling them
     leaves min(w, p) + 1 factors over min(w, p).  The product is formed
-    before the floor division, which is therefore exact.
+    before the floor division, which is therefore exact.  The row starts
+    from ``one``: ints by default, exact decimals for ``decimal_row``.
     """
-    row = [1]
+    row = [one]
     for w in range(max_weight(p, n)):
         m, k = n - w * p + p, min(w, p)
         above = math.perm(m - max(w, p), k + 1)  # m - w - p .. m - max(w, p)

@@ -31,6 +31,7 @@ from .graph import (
     direction_edge_count_closed,
     direction_edge_counts_closed,
     edge_bitsets,
+    mirror,
 )
 from .invariants import (
     imbalance_census,
@@ -55,7 +56,13 @@ from .polynomials import (
     substitute,
     weight_poly,
 )
-from .sequences import kfold_convolution, pfib, total_edges_closed
+from .sequences import (
+    decimal_row,
+    direction_products,
+    kfold_convolution,
+    pfib,
+    total_edges_closed,
+)
 from .series import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -99,31 +106,40 @@ def _counts_at(
     expected_size = total_edges_closed(p, n)
     if g.edge_count != expected_size:
         bad["size"].append(f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}")
-    # Each count three ways: the graph's, the one-pass list, the single product.
+    # Each count four ways: the graph's, the one-pass list, the decimal text
+    # that indices prints, the single product.
     listed = direction_edge_counts_closed(p, n)
-    if len(listed) != n:
-        bad["directions"].append(f"p={p} n={n}: {len(listed)} directions listed")
-    for i, in_list in zip(range(1, n + 1), listed):
+    text = [str(c) for c in mirror(decimal_row(direction_products, p, n), n)]
+    if len(listed) != n or len(text) != n:
+        bad["directions"].append(
+            f"p={p} n={n}: {len(listed)} directions listed, {len(text)} as text"
+        )
+    for i, in_list, in_text in zip(range(1, n + 1), listed, text):
         counted = direction_edge_count(g, i)
         closed = direction_edge_count_closed(p, n, i)
-        if not counted == in_list == closed:
+        if not counted == in_list == closed or in_text != str(closed):
             bad["directions"].append(
                 f"p={p} n={n} i={i}: counted {counted} listed {in_list} "
-                f"expected {closed}"
+                f"text {in_text} expected {closed}"
             )
-    # Each weight three ways: the graph's census, the one-pass row, one binomial.
+    # Each weight four ways: the graph's census, the one-pass row, the decimal
+    # text that count prints, one binomial.
     census = Counter(b.bit_count() for b in g.bits)
     top = max_weight(p, n)
     row = weight_census(p, n)
-    if len(row) != top + 1:
-        bad["weight-census"].append(f"p={p} n={n}: row of {len(row)} weights")
+    text = [str(c) for c in decimal_row(weight_census, p, n)]
+    if len(row) != top + 1 or len(text) != top + 1:
+        bad["weight-census"].append(
+            f"p={p} n={n}: row of {len(row)} weights, text of {len(text)}"
+        )
     for w in range(top + 2):
         in_row = row[w] if w < len(row) else 0
+        in_text = text[w] if w < len(text) else "0"
         single = count_by_weight(p, n, w)
-        if not census.get(w, 0) == in_row == single:
+        if not census.get(w, 0) == in_row == single or in_text != str(single):
             bad["weight-census"].append(
                 f"p={p} n={n} w={w}: census {census.get(w, 0)} row {in_row} "
-                f"expected {single}"
+                f"text {in_text} expected {single}"
             )
     if n >= p + 1:
         recursed = (

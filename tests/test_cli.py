@@ -495,6 +495,26 @@ class TestIndices:
         assert code == 0
         assert "wiener: closed=16 oracle=16" in out
 
+    @pytest.mark.parametrize("n, cap", [(3, "24"), (2000, "0")])
+    def test_text_format_builds_no_row(self, monkeypatch, capsys, n, cap):
+        # The text lines print only the scalars, so no per-direction row,
+        # closed or counted, is made for them.
+        def row(*args):
+            raise AssertionError("a per-direction row was built")
+
+        monkeypatch.setattr(sequences, "decimal_row", row)
+        monkeypatch.setattr(graph, "direction_edge_counts_closed", row)
+        monkeypatch.setattr(graph, "direction_edge_count", row)
+        argv = ("indices", "--p", "1", "--n", str(n), "--cap", cap)
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert (code, err) == (0, "")
+        monkeypatch.undo()
+        doc = json.loads(run(capsys, *argv)[1])
+        assert out.splitlines()[1] == (
+            f"wiener: closed={doc['wiener']['closed']} "
+            f"oracle={doc['wiener']['oracle']}"
+        )
+
     def test_one_sweep_serves_both_distance_oracles(self, sweeps, capsys):
         code, out, _ = run(capsys, "indices", "--p", "1", "--n", "6")
         assert code == 0
@@ -504,21 +524,21 @@ class TestIndices:
         assert doc["mostar"]["oracle"] == doc["mostar"]["closed"]
 
     def test_one_direction_row_serves_every_closed_value(self, monkeypatch, capsys):
-        # The row is built once, for the list.  The Wiener and Mostar closed
-        # forms take their sum of squares from the jump, which agrees with
-        # the listed row's, and no table of F reaches n.
+        # The row is built once, as decimals, for the list.  The Wiener and
+        # Mostar closed forms take their sum of squares from the jump, which
+        # agrees with the listed row's, and no table of F reaches n.
         built_for = []
-        row = graph.direction_edge_counts_closed
+        row = sequences.decimal_row
         monkeypatch.setattr(
-            graph,
-            "direction_edge_counts_closed",
-            lambda p, n: built_for.append((p, n)) or row(p, n),
+            sequences,
+            "decimal_row",
+            lambda make, p, n: built_for.append((make, p, n)) or row(make, p, n),
         )
         tables = {}
         monkeypatch.setattr(sequences, "_tables", tables)
         code, out, _ = run(capsys, "indices", "--p", "2", "--n", "37", "--cap", "0")
         assert code == 0
-        assert built_for == [(2, 37)]
+        assert built_for == [(sequences.direction_products, 2, 37)]
         assert all(len(table._values) < 37 for table in tables.values())
         doc = json.loads(out)
         squares = sum(int(c) ** 2 for c in doc["edge_counts_by_direction"]["closed"])

@@ -29,18 +29,23 @@ EVERY_LAYER = COUNT_LAYERS | {
 }
 
 
-def loaded_layers(*argv):
-    """The fibpcubes submodules a fresh `python -m fibpcubes` imports."""
+def loaded_modules(*argv):
+    """The modules a fresh `python -m fibpcubes` imports."""
     done = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "fibpcubes", *argv],
         capture_output=True, text=True, env=CHILD_ENV, timeout=60,
     )
     assert done.returncode in (0, 2), done.stderr
-    names = (
+    return {
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
-    )
+    }
+
+
+def loaded_layers(*argv):
+    """The fibpcubes submodules a fresh `python -m fibpcubes` imports."""
+    names = loaded_modules(*argv)
     return {name.split(".", 1)[1] for name in names if name.startswith("fibpcubes.")}
 
 
@@ -64,6 +69,20 @@ def loaded_layers(*argv):
 )
 def test_each_command_loads_only_its_layers(argv, layers):
     assert loaded_layers(*argv) == layers
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (("count", "--p", "1", "--n", "5"), True),
+        (("indices", "--p", "2", "--n", "9", "--cap", "0", "--format", "text"), False),
+        (("poly", "cube", "--p", "0", "--n", "9"), False),
+        (("verify", "cubes", "--p", "1", "--n", "0..4"), False),
+    ],
+    ids=["count", "indices-text", "poly", "verify-cubes"],
+)
+def test_only_a_printed_or_checked_row_loads_decimal(argv, loads):
+    assert ("decimal" in loaded_modules(*argv)) == loads
 
 
 def test_public_names_are_their_submodules_objects():

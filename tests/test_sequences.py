@@ -1,3 +1,4 @@
+import decimal
 from itertools import islice, product
 
 import pytest
@@ -11,6 +12,7 @@ from fibpcubes.sequences import (
     _jump_pays,
     binomial,
     convolve_prefix,
+    decimal_row,
     direction_products,
     edge_denominator,
     edge_terms,
@@ -26,6 +28,7 @@ from fibpcubes.sequences import (
     square_sum_closed,
     total_edges_closed,
 )
+from fibpcubes.strings import weight_census
 
 
 def classical_fibonacci(n):
@@ -290,3 +293,25 @@ def test_windows_start_lazily_at_huge_p():
     huge = 10**12
     assert list(islice(pfib_rising(huge), 3)) == [1, 1, 1]
     assert list(islice(edges_rising(huge), 4)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "row, p, n",
+    [
+        (weight_census, 1, 8000),
+        (direction_products, 2, 8000),
+        (direction_products, 0, 4000),  # the falling window halves
+        (direction_products, 100, 20000),  # the jump does not pay here
+    ],
+    ids=["weights", "directions", "halving", "windows"],
+)
+def test_decimal_row_prints_the_int_row(row, p, n):
+    assert [str(c) for c in decimal_row(row, p, n)] == [str(c) for c in row(p, n)]
+
+
+def test_decimal_row_raises_where_a_step_would_round(monkeypatch):
+    narrow = sequences.exact_context()
+    narrow.prec = 2
+    monkeypatch.setattr(sequences, "exact_context", lambda: narrow)
+    with pytest.raises(decimal.Inexact):
+        decimal_row(weight_census, 1, 30)

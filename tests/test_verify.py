@@ -2,6 +2,7 @@
 broken on purpose, makes that check fail."""
 
 import dataclasses
+import decimal
 import functools
 
 import pytest
@@ -18,6 +19,10 @@ def plus_one(value):
 def bump_last_entry(values):
     # an empty list (no directions at n = 0) has nothing to break
     return values[:-1] + [values[-1] + 1] if values else values
+
+
+def drop_last_entry(values):
+    return values[:-1]
 
 
 def always_false(_):
@@ -41,6 +46,8 @@ def bump_first_coefficient(series):
         ("direction_edge_counts_closed", bump_last_entry, "counts/directions"),
         ("count_by_weight", plus_one, "counts/weight-census"),
         ("weight_census", bump_last_entry, "counts/weight-census"),
+        ("decimal_row", drop_last_entry, "counts/directions"),
+        ("decimal_row", drop_last_entry, "counts/weight-census"),
         ("weight_poly", plus_one, "cubes/daisy-identities"),
         ("cube_poly_closed", plus_one, "cubes/counts"),
         ("dist_cube_poly_closed", plus_one, "cubes/daisy-identities"),
@@ -105,6 +112,25 @@ def test_misaligned_mirror_fails(monkeypatch, capsys, check):
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4"])
     assert code == 1
     assert f"FAIL {check} p=1: p=1 n=3" in capsys.readouterr().out
+
+
+def test_rounding_decimal_context_fails_the_text_routes(monkeypatch, capsys):
+    # Two digits and no traps (a bare Context copies the default ones): an
+    # entry past 99 rounds without raising, and its text comes out as 9.2E+2
+    # or NaN.  Only the text routes read the decimals.
+    monkeypatch.setattr(
+        sequences, "exact_context", lambda: decimal.Context(prec=2, traps=[])
+    )
+    checks = ("counts/directions", "counts/weight-census")
+    results = verify.run_suite("counts", range(5), range(13))
+    failed = {r.name for r in results if not r.passed}
+    assert {f"{check} p=0" for check in checks} <= failed
+    assert {name.split()[0] for name in failed} == set(checks)
+
+    code = cli.main(["verify", "counts", "--p", "0..4", "--n", "0..12"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert all(f"FAIL {check} p=0: " in out for check in checks)
 
 
 # Per denominator: the grid's last n at p = 1 and 2, and the checks that
