@@ -201,8 +201,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
     poly = getattr(polynomials, polynomials.CLOSED_POLY[kind])(p, n)
     if args.format == "json":
         _write_json({"p": str(p), "n": str(n), "kind": kind, **poly.to_json()})
-    else:
-        print(poly.render())
+    else:  # term by term, so the whole text never exists at once
+        sys.stdout.writelines(poly.pieces())
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -7,8 +7,10 @@ an int enters as a constant, and zero, one, subtraction, the reflected
 operators and powers are derived from each kind's const, +, unary - and
 *.  Degrees stay tiny while coefficients grow huge, so everything is exact
 int arithmetic.  The closed cube polynomial is expanded by Horner's rule
-on one packed int, and the distance polynomial is read off the weight row
-with one Pascal row per weight.
+on its coefficient list, and the distance polynomial is read off the
+weight row with one Pascal row per weight.  Both kinds write their text
+through one term writer, term by term in output order, so the text of a
+large polynomial need never exist whole.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .sequences import binomial
 from .strings import max_weight, weight_census
@@ -50,7 +52,8 @@ class RingElement:
 
     A kind supplies ``const``, ``__add__``, ``__neg__`` and ``__mul__``; its
     binary operators lift their other operand with ``_lift`` and return
-    NotImplemented for anything that is neither the kind nor an int.
+    NotImplemented for anything that is neither the kind nor an int.  It
+    also supplies ``_ordered_terms``, its (k, d, c) in the order of its text.
     """
 
     @classmethod
@@ -94,6 +97,14 @@ class RingElement:
         for _ in range(exponent):  # plain iterated product, no binomial shortcut
             out = out * self
         return out
+
+    def pieces(self) -> Iterator[str]:
+        """The canonical text in pieces, each made only when it is asked for."""
+        return _term_pieces(self._ordered_terms())
+
+    def render(self) -> str:
+        """Canonical text, e.g. ``5 + 5*x + x^2`` or ``1 + 3*q + 2*x*q``."""
+        return "".join(self.pieces())
 
 
 @dataclass(frozen=True)
@@ -153,11 +164,9 @@ class Polynomial(RingElement):
             acc = acc * value + c
         return acc
 
-    def render(self, var: str = "x") -> str:
-        """Canonical ascending-degree text, e.g. ``5 + 5*x + x^2``."""
-        return _format_terms(
-            [(c, _power_text(var, k)) for k, c in enumerate(self.coeffs)]
-        )
+    def _ordered_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(k, 0, c) in ascending degree k, zeros included."""
+        return ((k, 0, c) for k, c in enumerate(self.coeffs))
 
     def to_json(self) -> dict:
         """Ascending coefficients, serialized as decimal strings."""
@@ -172,11 +181,17 @@ def _power_text(var: str, k: int) -> str:
     return f"{var}^{k}"
 
 
-def _format_terms(terms: list[tuple[int, str]]) -> str:
-    pieces: list[str] = []
-    for c, mono in terms:
-        if c == 0:
+def _term_pieces(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
+    """The text of the sum of c * x^k * q^d over (k, d, c), in the given order.
+
+    One piece per nonzero term: the first bare or with a leading -, the
+    rest behind " + " or " - ".  No term at all reads "0".
+    """
+    signs = ("", "-")  # (" + ", " - ") once a term is written
+    for k, d, c in terms:
+        if not c:
             continue
+        mono = "*".join(filter(None, (_power_text("x", k), _power_text("q", d))))
         mag = abs(c)
         if not mono:
             body = str(mag)
@@ -184,11 +199,10 @@ def _format_terms(terms: list[tuple[int, str]]) -> str:
             body = mono
         else:
             body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+        yield signs[c < 0] + body
+        signs = (" + ", " - ")
+    if not signs[0]:
+        yield "0"
 
 
 @dataclass(frozen=True)
@@ -273,18 +287,16 @@ class BivarPoly(RingElement):
         """Exchange the roles of x and q."""
         return BivarPoly.from_rows(zip_longest(*self.rows, fillvalue=0))
 
-    def render(self) -> str:
-        """Canonical text ordered by total degree, e.g. ``1 + 3*q + 3*x``."""
-        ordered = sorted(self.terms, key=lambda t: (t[0] + t[1], t[0]))
-        terms = []
-        for k, d, c in ordered:
-            mono = "*".join(
-                part
-                for part in (_power_text("x", k), _power_text("q", d))
-                if part
-            )
-            terms.append((c, mono))
-        return _format_terms(terms)
+    def _ordered_terms(self) -> Iterator[tuple[int, int, int]]:
+        """(k, d, c) by total degree k + d, then k ascending, zeros included:
+        one anti-diagonal of the rows after another."""
+        rows = self.rows
+        end = max((d + len(row) for d, row in enumerate(rows)), default=0)
+        for s in range(end):
+            for d in range(min(s, len(rows) - 1), -1, -1):
+                k, row = s - d, rows[d]
+                if k < len(row):
+                    yield k, d, row[k]
 
     def to_json(self) -> dict:
         """Terms as {k, d, value} rows, every number a decimal string."""
@@ -328,46 +340,24 @@ def substitute(
     return acc
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes that hold every int from 0 to bound."""
-    return (bound.bit_length() + 7) // 8
-
-
 def cube_poly_closed(p: int, n: int) -> Polynomial:
     """Induced-cube counting polynomial, x marking the dimension.
 
     C = sum over weights a of binom(n - a*p + p, a) * (1 + x)^a, by Horner's
     rule acc -> acc * (1 + x) + binom_a from the top weight down to 0, on
-    one packed int (Kronecker substitution): x^k is slot k, and a product
-    by 1 + x is one C-level shift and add, (acc << slot) + acc.  Every slot
-    is wide enough for the bound C(1) = sum_a binom_a * 2^a: no coefficient
-    of acc is negative, so none exceeds its value at x = 1, and no slot
-    carries into the next.  The result is read back from one ``to_bytes``,
-    one ``int.from_bytes`` per slot.
+    the list of coefficients: the product by 1 + x adds each coefficient
+    to its upper neighbour, so one step is [binom_a + acc_0, acc_1 + acc_0,
+    ..., acc_top].
 
-    At most three packed-size ints are alive at once.  The expansion stays
-    an iterated multiplication by 1 + x, never a binomial expansion of its
-    powers, so the binomial double sum in cube_count_closed remains an
-    independent route to the same numbers.
+    The expansion stays an iterated multiplication by 1 + x, never a
+    binomial expansion of its powers, so the binomial double sum in
+    cube_count_closed remains an independent route to the same numbers.
     """
-    binoms = weight_census(p, n)  # binom(n - a*p + p, a) for a = 0 .. top
-    bound = 0
-    for b in reversed(binoms):
-        bound = 2 * bound + b
-    width = _slot_bytes(bound)
-    bits = 8 * width
-    acc = 0
-    for b in reversed(binoms):
-        acc = (acc << bits) + acc + b
-    data = acc.to_bytes((acc.bit_length() + 7) // 8, "little")
-    del acc
-    from_bytes = int.from_bytes  # one lookup, not one per slot
-    return Polynomial.from_coeffs(
-        [
-            from_bytes(data[s : s + width], "little")
-            for s in range(0, len(binoms) * width, width)
-        ]
-    )
+    *lower, top = weight_census(p, n)  # binom(n - a*p + p, a), a = 0 .. top
+    acc = [top]
+    for b in reversed(lower):
+        acc = [b + acc[0], *map(operator.add, acc[1:], acc), acc[-1]]
+    return Polynomial(tuple(acc))  # ends in the top weight's count, not 0
 
 
 def cube_count_closed(p: int, n: int, k: int) -> int:

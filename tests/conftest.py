@@ -155,8 +155,8 @@ def ring_expansion():
 
     One ring product per weight for the power and one for each term: the
     reference that each kind's closed form in ``polynomials`` is held to,
-    the packed Horner of the cube polynomial and the weight-row pass of
-    the distance polynomial alike.
+    the list Horner of the cube polynomial and the weight-row pass of the
+    distance polynomial alike.
     """
 
     def _expand(p, n, marker):

@@ -17,6 +17,7 @@ from fibpcubes import cli, graph, sequences, verify
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
+    RingElement,
     cube_poly_closed,
     dist_cube_poly_closed,
 )
@@ -138,6 +139,21 @@ class TestPoly:
     def test_distance_includes_cross_term(self, capsys):
         code, out, _ = run(capsys, "poly", "distance", "--p", "1", "--n", "3")
         assert code == 0 and "2*x*q" in out
+
+    @pytest.mark.parametrize(
+        "kind, p, n, text",
+        [
+            ("cube", 1, 3, "5 + 5*x + x^2\n"),
+            ("weight", 2, 4, "1 + 4*x + x^2\n"),
+            ("distance", 1, 3, "1 + 3*q + 3*x + q^2 + 2*x*q + x^2\n"),
+        ],
+    )
+    def test_text_is_written_term_by_term(self, monkeypatch, capsys, kind, p, n, text):
+        def whole_text(self):
+            raise AssertionError("the whole text was made at once")
+
+        monkeypatch.setattr(RingElement, "render", whole_text)
+        assert run(capsys, "poly", kind, "--p", str(p), "--n", str(n)) == (0, text, "")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "poly", "cube", "--p", "1", "--n", "3",

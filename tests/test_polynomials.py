@@ -19,8 +19,8 @@ from fibpcubes.polynomials import (
     substitute,
     weight_poly,
 )
-from fibpcubes.sequences import binomial
-from fibpcubes.strings import max_weight
+from fibpcubes.sequences import binomial, pfib_terms, total_edges_closed
+from fibpcubes.strings import max_weight, weight_census
 
 from conftest import as_dict
 
@@ -39,6 +39,32 @@ big_bivar_dicts = st.dictionaries(
 
 XQ = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1})
 XQ_MINUS_1 = BivarPoly.from_dict({(1, 0): 1, (0, 1): 1, (0, 0): -1})
+
+
+def sorted_render(f):
+    """The text as the formatter before the term writer made it: every term
+    sorted by total degree, then by x-degree, one string per term, and one
+    join at the end."""
+
+    def power(var, k):
+        return "" if k == 0 else var if k == 1 else f"{var}^{k}"
+
+    if isinstance(f, Polynomial):
+        terms = [(k, 0, c) for k, c in enumerate(f.coeffs)]
+    else:
+        terms = sorted(f.terms, key=lambda t: (t[0] + t[1], t[0]))
+    pieces = []
+    for k, d, c in terms:
+        if c == 0:
+            continue
+        mono = "*".join(part for part in (power("x", k), power("q", d)) if part)
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(pieces) if pieces else "0"
 
 
 def at_q(f, value):
@@ -185,6 +211,46 @@ ONE_OF_EACH_KIND = [Polynomial.from_coeffs([1, 2]), XQ]
 KIND_IDS = ["Polynomial", "BivarPoly"]
 
 
+class TestTermWriter:
+    @given(polys)
+    def test_polynomial_matches_sorted_reference(self, f):
+        assert f.render() == sorted_render(f)
+
+    @given(st.one_of(bivar_dicts, big_bivar_dicts))
+    def test_bivar_matches_sorted_reference(self, fd):
+        f = BivarPoly.from_dict(fd)
+        assert f.render() == sorted_render(f)
+
+    @pytest.mark.parametrize(
+        "data, text",
+        [
+            ({(0, 2): -1, (3, 0): 1, (1, 4): -2}, "-q^2 + x^3 - 2*x*q^4"),
+            ({(5, 0): -1, (0, 5): 1, (2, 3): -7}, "q^5 - 7*x^2*q^3 - x^5"),
+            ({(0, 0): -4, (4, 4): 1, (0, 6): -1}, "-4 - q^6 + x^4*q^4"),
+            ({(1, 0): 1}, "x"),
+            ({(0, 1): -1}, "-q"),
+        ],
+        ids=["gaps", "one-diagonal", "constant", "x", "minus-q"],
+    )
+    def test_sparse_bivar_with_gaps(self, data, text):
+        f = BivarPoly.from_dict(data)
+        assert f.render() == sorted_render(f) == text
+
+    @pytest.mark.parametrize("kind", [Polynomial, BivarPoly], ids=KIND_IDS)
+    def test_zero_of_each_kind(self, kind):
+        assert list(kind.zero().pieces()) == ["0"]
+        assert kind.zero().render() == sorted_render(kind.zero()) == "0"
+
+    @pytest.mark.parametrize("kind", list(MARKERS))
+    @pytest.mark.parametrize("p, n", [(0, 0), (1, 3), (2, 17), (0, 40), (4, 60)])
+    def test_closed_kinds(self, kind, p, n):
+        f = getattr(polynomials, CLOSED_POLY[kind])(p, n)
+        assert f.render() == sorted_render(f)
+        # one piece per term (the closed kinds have no zero coefficient)
+        terms = f.coeffs if isinstance(f, Polynomial) else f.terms
+        assert len(list(f.pieces())) == len(terms)
+
+
 class TestRingRule:
     @pytest.mark.parametrize("f", ONE_OF_EACH_KIND, ids=KIND_IDS)
     def test_int_on_either_side(self, f):
@@ -295,6 +361,9 @@ class TestClosedForms:
 
 
 class TestPackedExpansion:
+    """Each closed kind against the ring expansion, and the cube and distance
+    polynomials at large n."""
+
     # n from 0 up, so every p > 0 meets n < p as well
     @pytest.mark.parametrize("kind", list(MARKERS))
     def test_matches_ring_expansion(self, ring_expansion, kind):
@@ -304,9 +373,19 @@ class TestPackedExpansion:
             for n in range(41):
                 assert closed(p, n) == ring_expansion(p, n, marker), (p, n)
 
-    def test_matches_ring_expansion_at_large_n(self, ring_expansion):
-        cube = MARKERS["cube"]
-        assert cube_poly_closed(0, 300) == ring_expansion(0, 300, cube)
+    @pytest.mark.parametrize("p, n", [(0, 300), (1, 600), (4, 1000)])
+    def test_matches_ring_expansion_at_large_n(self, ring_expansion, p, n):
+        assert cube_poly_closed(p, n) == ring_expansion(p, n, MARKERS["cube"])
+
+    @pytest.mark.parametrize("p, n", [(0, 1200), (1, 2000), (3, 4000)])
+    def test_cube_identities_at_large_n(self, p, n):
+        c = cube_poly_closed(p, n)
+        assert c(-1) == 1
+        assert c(0) == pfib_terms(p, n + p + 1)[0]  # |V|
+        assert c.coeff(1) == total_edges_closed(p, n)  # |E|
+        # every vertex is the top of 2^(its weight) cubes
+        assert c(1) == sum(w << a for a, w in enumerate(weight_census(p, n)))
+        assert c.degree() == max_weight(p, n)
 
     @pytest.mark.parametrize("p, n", [(0, 400), (1, 600)])
     def test_distance_rows_at_large_n(self, p, n):

@@ -7,7 +7,7 @@ import functools
 
 import pytest
 
-from fibpcubes import cli, graph, invariants, polynomials, sequences, verify
+from fibpcubes import cli, graph, invariants, sequences, verify
 from fibpcubes.series import TruncatedSeries
 from fibpcubes.verify import CheckResult
 
@@ -178,25 +178,6 @@ def test_denominator_off_by_one_fails_its_checks(monkeypatch, capsys, denominato
         for check in checks:
             if check.startswith(suite):
                 assert f"FAIL {check} p={p}: " in out
-
-
-@pytest.mark.parametrize(
-    "suite, check", [("cubes", "cubes/counts"), ("gf", "gf/identities")]
-)
-def test_narrow_packing_slot_fails(monkeypatch, capsys, suite, check):
-    # One byte less than the bound needs, but never none: at p = 0 the bound
-    # 3^n needs two bytes from n = 7 on, where the cube polynomial (2 + x)^7
-    # has coefficients up to 672, which carry out of a one-byte slot.
-    slot_bytes = polynomials._slot_bytes
-    monkeypatch.setattr(
-        polynomials, "_slot_bytes", lambda bound: max(slot_bytes(bound) - 1, 1)
-    )
-    results = verify.run_suite(suite, [0], range(9), order=8)
-    assert [r.passed for r in results if r.name == f"{check} p=0"] == [False]
-
-    code = cli.main(["verify", suite, "--p", "0", "--n", "0..8", "--N", "8"])
-    assert code == 1
-    assert f"FAIL {check} p=0: " in capsys.readouterr().out
 
 
 @pytest.fixture
