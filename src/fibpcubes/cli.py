@@ -6,12 +6,14 @@ SIGPIPE).  The only bound on n is the ``--cap`` option of the commands that
 build graphs; the vertex, cube-census and distance-sweep limits belong to
 the modules that allocate the memory.  JSON payloads carry every number
 as a decimal string so that 64-bit consumers cannot silently overflow.
-The rows that ``count`` and ``indices`` print, the weight census and the
-per-direction edge counts, are computed on exact decimals
-(``sequences.decimal_row``), whose text takes time linear in its digits
-where an int's is quadratic; the checks compare the int rows.  Each command
-imports the layers it runs when it runs, so a fresh process loads no more
-than its command needs.
+Every command computes its scalars before the first byte, so a refused
+request writes nothing; then it writes the answer piece by piece.  The
+rows that ``count`` and ``indices`` print, the weight census and the
+per-direction edge counts, stream from their recurrences entry by entry,
+on exact decimals (``sequences.decimal_text``), whose text takes time
+linear in its digits where an int's is quadratic; the checks compare the
+int rows.  Each command imports the layers it runs when it runs, so a
+fresh process loads no more than its command needs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterator
+from functools import partial
 
 from .errors import SizeLimitError
 
@@ -124,41 +126,55 @@ def _values(span: tuple[int, int]) -> range:
     return range(span[0], span[1] + 1)
 
 
-def _count_points(args: argparse.Namespace) -> Iterator[tuple]:
-    """(p, n, |V|, |E|, top weight, weight census) per grid point: the
-    census as exact decimals, the rest as ints."""
-    from .sequences import decimal_row, pfib_terms, total_edges_closed
-    from .strings import max_weight, weight_census
+def _count_points(args: argparse.Namespace) -> list[tuple[int, ...]]:
+    """(p, n, |V|, |E|, top weight) for every grid point."""
+    from .sequences import pfib_terms, total_edges_closed
+    from .strings import max_weight
 
-    for p in _values(args.p):
-        for n in _values(args.n):
-            yield (
-                p,
-                n,
-                pfib_terms(p, n + p + 1)[0],
-                total_edges_closed(p, n),
-                max_weight(p, n),
-                decimal_row(weight_census, p, n),
-            )
+    return [
+        (p, n, pfib_terms(p, n + p + 1)[0], total_edges_closed(p, n), max_weight(p, n))
+        for p in _values(args.p)
+        for n in _values(args.n)
+    ]
 
 
-def _write_json(doc: object) -> None:
-    import json
+def _write_json(doc: "dict | list") -> None:
+    """Write ``json.dump(doc, indent=2)`` and a newline, piece by piece.
 
-    # Streamed chunk by chunk: the text of a large answer never exists whole.
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-class _Decimals(list):
-    """Exact decimals that the JSON encoder meets as strings, one at a time.
-
-    With an indent the encoder iterates a list, so each string exists only
-    while its chunk is written, and the row stays as compact as its ints.
+    A list is written entry by entry as it is walked, so a ``LazyList`` row
+    is made, written and dropped one entry at a time.  A row's strings are
+    number text, which needs no escape, so they are quoted as they are.
     """
+    import json
+    from json.encoder import encode_basestring_ascii as escape
 
-    def __iter__(self) -> Iterator[str]:
-        return map(str, super().__iter__())
+    from .sequences import LazyList
+
+    def write(container: "dict | list", newline: str) -> None:
+        inner = newline + "  "
+        if isinstance(container, dict):
+            brackets, row = "{}", False
+            items = ((escape(key) + ": ", item) for key, item in container.items())
+        else:
+            brackets, row = "[]", isinstance(container, LazyList)
+            items = (("", item) for item in container)
+        opener = brackets[0] + inner
+        for head, item in items:  # one write per scalar
+            if row and isinstance(item, str):
+                out.write(f'{opener}"{item}"')
+            elif isinstance(item, str):
+                out.write(opener + head + escape(item))
+            elif isinstance(item, (dict, list, tuple)):
+                out.write(opener + head)
+                write(item, inner)
+            else:  # None, a bool or an int
+                out.write(opener + head + json.dumps(item))
+            opener = "," + inner
+        out.write(newline + brackets[1] if opener[0] == "," else brackets)
+
+    out = sys.stdout
+    write(doc, "\n")
+    out.write("\n")
 
 
 _COUNT_KEYS = ("p", "n", "vertices", "edges", "max_weight")
@@ -170,26 +186,30 @@ _COUNT_LINES = {
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .sequences import LazyList, decimal_text
+    from .strings import weight_row
+
+    points = _count_points(args)
     if args.format == "json":
         _write_json(
             [
                 {
-                    **dict(zip(_COUNT_KEYS, map(str, head))),
-                    "weight_census": _Decimals(census),
+                    **dict(zip(_COUNT_KEYS, map(str, point))),
+                    "weight_census": LazyList(
+                        partial(decimal_text, weight_row, *point[:2]), point[-1] + 1
+                    ),
                 }
-                for *head, census in _count_points(args)
+                for point in points
             ]
         )
         return EXIT_OK
-    # Each weight becomes text only when it is written; every row is
-    # computed before the first byte.
     header, line, sep = _COUNT_LINES[args.format]
-    points = list(_count_points(args))
     out = sys.stdout
     out.write(header)
-    for *head, census in points:
-        out.write(line.format(*head) + str(census[0]))
-        out.writelines(sep + str(c) for c in census[1:])
+    for point in points:
+        weights = decimal_text(weight_row, *point[:2])
+        out.write(line.format(*point) + next(weights))  # w = 0 is always there
+        out.writelines(sep + weight for weight in weights)
         out.write("\n")
     return EXIT_OK
 
@@ -264,7 +284,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def _indices_doc(args: argparse.Namespace) -> dict:
     """The indices answer; the per-direction row only for JSON, which prints it."""
-    from .graph import build, direction_edge_count, mirror
+    from .graph import build, direction_edge_count
     from .invariants import (
         irregularity_closed,
         irregularity_oracle,
@@ -274,7 +294,8 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         wiener_oracle,
     )
     from .sequences import (
-        decimal_row,
+        LazyList,
+        decimal_text,
         direction_products,
         pfib_terms,
         total_edges_closed,
@@ -304,7 +325,7 @@ def _indices_doc(args: argparse.Namespace) -> dict:
             pass
     if args.format == "json":
         doc["edge_counts_by_direction"] = {
-            "closed": _Decimals(mirror(decimal_row(direction_products, p, n), n)),
+            "closed": LazyList(partial(decimal_text, direction_products, p, n), n),
             "oracle": None
             if g is None
             else [str(direction_edge_count(g, i)) for i in range(1, n + 1)],

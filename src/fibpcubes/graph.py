@@ -181,23 +181,14 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
     return pfib(p, i) * pfib(p, n - i + 1)
 
 
-def mirror(half: list, n: int) -> list:
-    """The palindrome of length n whose first ceil(n/2) entries are ``half``.
-
-    The mirrored entries are the same objects as the ones they mirror.
-    """
-    return half + half[: n // 2][::-1]
-
-
 def direction_edge_counts_closed(p: int, n: int) -> list[int]:
     """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
 
-    The row is a palindrome, so only the ceil(n/2) products of its first
-    half are made, and ``mirror`` gives the rest.  Their factors come from
-    two windows of p + 1 values: F_1, F_2, ... rising from the seed, and
-    F_n, F_{n-1}, ... falling from F_{n-p} .. F_n; no table of F is kept.
+    Their factors come from two windows of p + 1 values: F_1, F_2, ...
+    rising from the seed, and F_n, F_{n-1}, ... falling from F_{n-p} ..
+    F_n; no table of F is kept.
     """
-    return mirror(list(direction_products(p, n)), n)
+    return list(direction_products(p, n))
 
 
 def check_sweep_limit(order: int) -> None:

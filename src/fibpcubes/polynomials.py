@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Union
 
-from .sequences import binomial
+from .sequences import LazyList, binomial
 from .strings import max_weight, weight_census
 
 NEG_INF = float("-inf")
@@ -169,8 +170,8 @@ class Polynomial(RingElement):
         return ((k, 0, c) for k, c in enumerate(self.coeffs))
 
     def to_json(self) -> dict:
-        """Ascending coefficients, serialized as decimal strings."""
-        return {"coeffs": [str(c) for c in self.coeffs]}
+        """Ascending coefficients as decimal strings, each made as it is read."""
+        return {"coeffs": LazyList(partial(map, str, self.coeffs), len(self.coeffs))}
 
 
 def _power_text(var: str, k: int) -> str:
@@ -233,8 +234,11 @@ class BivarPoly(RingElement):
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
         """The nonzero (xdeg, qdeg, coeff) triples, sorted by (xdeg, qdeg)."""
+        return tuple(self._sorted_terms())
+
+    def _sorted_terms(self) -> Iterator[tuple[int, int, int]]:
         columns = zip_longest(*self.rows, fillvalue=0)  # columns[k][d]
-        return tuple(
+        return (
             (k, d, c)
             for k, column in enumerate(columns)
             for d, c in enumerate(column)
@@ -299,12 +303,14 @@ class BivarPoly(RingElement):
                     yield k, d, row[k]
 
     def to_json(self) -> dict:
-        """Terms as {k, d, value} rows, every number a decimal string."""
-        return {
-            "terms": [
-                {"k": str(k), "d": str(d), "value": str(c)} for k, d, c in self.terms
-            ]
-        }
+        """Terms as {k, d, value} rows, every number a decimal string; each
+        row is made as it is read."""
+        size = sum(len(row) - row.count(0) for row in self.rows)
+        return {"terms": LazyList(self._json_terms, size)}
+
+    def _json_terms(self) -> Iterator[dict[str, str]]:
+        for k, d, c in self._sorted_terms():
+            yield {"k": str(k), "d": str(d), "value": str(c)}
 
 
 # The marker on each 1 of a p-valid string, by kind, in report order.  The

@@ -284,23 +284,19 @@ def square_sum_closed(p: int, n: int) -> int:
 
     By the jump, S is the self-convolution of F_i^2, shifted by one, over
     the denominator Q_S^2, and its first (p+1)(p+2) terms are stored.  By
-    the windows, it is the sum of squares of the palindromic row.
+    the windows, it is the sum of squares of the row.
     """
     if _jump_pays((p + 1) * (p + 2), n):
         q = _squared(pair_denominator(p))
         return recurrent_terms(q, _direction_power_sums(p, 2, len(q) - 1), n)[0]
-    total = square = 0
-    for count in direction_products(p, n):
-        square = count * count
-        total += square
-    return 2 * total - (square if n % 2 else 0)
+    return sum(count * count for count in direction_products(p, n))
 
 
 def pfib_rising(p: int, one=1) -> Iterator:
     """F_1, F_2, ... without end, from a window of the last p + 1 values.
 
     Every value is a sum of seeds ``one``: ints by default, exact decimals
-    for ``decimal_row``.  The falling window and the row of products below
+    for ``decimal_text``.  The falling window and the row of products below
     take the same seed.
     """
     yield from repeat(one, p + 1)
@@ -346,27 +342,55 @@ def edges_rising(p: int) -> Iterator[int]:
 
 
 def direction_products(p: int, n: int, one=1) -> Iterator:
-    """F_i F_{n-i+1} for i = 1 .. ceil(n/2), the first half of the palindromic
-    row of per-direction edge counts, from a rising and a falling window."""
-    return map(
-        mul, islice(pfib_rising(p, one), (n + 1) // 2), pfib_falling(p, n, one)
-    )
+    """F_i F_{n-i+1} for i = 1 .. n, the row of per-direction edge counts,
+    from a rising and a falling window that each run the whole row."""
+    return map(mul, islice(pfib_rising(p, one), n), pfib_falling(p, n, one))
 
 
-def decimal_row(row: Callable[..., Iterable], p: int, n: int) -> list:
-    """The entries of ``row(p, n, one)`` as exact decimals, from one = 1.
+def decimal_text(row: Callable[..., Iterator], p: int, n: int) -> Iterator[str]:
+    """The text of each entry of ``row(p, n, one)`` from one = 1, as it is made.
 
     Python's int -> str is quadratic in the digits; a ``decimal.Decimal``
     holds base-10 words, and its str() is linear (Brent and Zimmermann,
     Modern Computer Arithmetic, 1.7).  The row's recurrence runs on them
     under ``exact_context``, where any step that would round raises instead.
-    A row that is made lazily is consumed inside that context.  The decimals
-    serve only as text: every check compares the int rows.
+    The decimal context is a context variable, so each step runs in a
+    context of its own that holds ``exact_context``; the caller's stays as
+    it was while this generator waits.  The text serves only for printing:
+    every check compares the int rows.
     """
-    from decimal import Decimal, localcontext
+    from contextvars import copy_context
+    from decimal import Decimal, setcontext
 
-    with localcontext(exact_context()):
-        return list(row(p, n, Decimal(1)))
+    steps = copy_context()
+    steps.run(setcontext, exact_context())
+    entries = steps.run(row, p, n, Decimal(1))
+    while True:
+        entry = steps.run(next, entries, None)
+        if entry is None:
+            return
+        yield str(entry)
+
+
+class LazyList(list):
+    """A sequence of ``size`` entries that ``make()`` makes afresh on each walk.
+
+    It holds none of them.  A JSON encoder meets it as a list, as
+    ``json.dumps`` does when it checks an answer against its streamed text.
+    Its strings, if any, are number text: digits and a sign, nothing that
+    JSON escapes.
+    """
+
+    def __init__(self, make: Callable[[], Iterable], size: int) -> None:
+        super().__init__()
+        self.make = make
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator:
+        return iter(self.make())
 
 
 def exact_context():

@@ -6,7 +6,8 @@ character) at the most significant of the n bits, so on equal lengths
 numeric order coincides with lexicographic order.
 
 The counts by weight come per weight from one binomial each
-(``count_by_weight``), or as a whole row in one pass (``weight_census``).
+(``count_by_weight``), or as a whole row in one pass (``weight_row``,
+entry by entry, and ``weight_census``, its list).
 
 Enumeration is where a graph's vertices are allocated, so the vertex limit
 lives here: ``check_vertex_limit`` refuses a length whose string count,
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import SizeLimitError
 from .sequences import binomial
@@ -134,8 +136,13 @@ def count_by_weight(p: int, n: int, w: int) -> int:
     return binomial(n - w * p + p, w)
 
 
-def weight_census(p: int, n: int, one=1) -> list:
-    """The counts by weight, w = 0 .. max_weight(p, n), built in one pass.
+def weight_census(p: int, n: int) -> list[int]:
+    """The counts by weight, w = 0 .. max_weight(p, n), built in one pass."""
+    return list(weight_row(p, n))
+
+
+def weight_row(p: int, n: int, one=1) -> Iterator:
+    """The counts by weight, w = 0 .. max_weight(p, n), each as it is made.
 
     With m = n - w*p + p, each entry follows from the one before by the
     exact ratio binom(m - p, w + 1) / binom(m, w), which is
@@ -143,12 +150,13 @@ def weight_census(p: int, n: int, one=1) -> list:
     products share the factors m - p + 1 .. m - w, and cancelling them
     leaves min(w, p) + 1 factors over min(w, p).  The product is formed
     before the floor division, which is therefore exact.  The row starts
-    from ``one``: ints by default, exact decimals for ``decimal_row``.
+    from ``one``: ints by default, exact decimals for ``decimal_text``.
     """
-    row = [one]
+    entry = one
+    yield entry
     for w in range(max_weight(p, n)):
         m, k = n - w * p + p, min(w, p)
         above = math.perm(m - max(w, p), k + 1)  # m - w - p .. m - max(w, p)
         below = math.perm(m, k) * (w + 1)  # m - k + 1 .. m, and w + 1
-        row.append(row[-1] * above // below)
-    return row
+        entry = entry * above // below
+        yield entry

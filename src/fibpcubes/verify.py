@@ -31,7 +31,6 @@ from .graph import (
     direction_edge_count_closed,
     direction_edge_counts_closed,
     edge_bitsets,
-    mirror,
 )
 from .invariants import (
     imbalance_census,
@@ -57,7 +56,7 @@ from .polynomials import (
     weight_poly,
 )
 from .sequences import (
-    decimal_row,
+    decimal_text,
     direction_products,
     kfold_convolution,
     pfib,
@@ -72,7 +71,7 @@ from .series import (
     verify_cube_count_gf,
     verify_weight_gf_expansion,
 )
-from .strings import count_by_weight, is_pvalid, max_weight, weight_census
+from .strings import count_by_weight, is_pvalid, max_weight, weight_census, weight_row
 
 # Check name -> lines filled for one p across its n grid: the mismatches
 # that fail the check, or the notes on what it left unchecked.
@@ -107,13 +106,15 @@ def _counts_at(
     if g.edge_count != expected_size:
         bad["size"].append(f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}")
     # Each count four ways: the graph's, the one-pass list, the decimal text
-    # that indices prints, the single product.
+    # that indices prints, the single product.  The row is a palindrome.
     listed = direction_edge_counts_closed(p, n)
-    text = [str(c) for c in mirror(decimal_row(direction_products, p, n), n)]
+    text = list(decimal_text(direction_products, p, n))
     if len(listed) != n or len(text) != n:
         bad["directions"].append(
             f"p={p} n={n}: {len(listed)} directions listed, {len(text)} as text"
         )
+    if listed != listed[::-1] or text != text[::-1]:
+        bad["directions"].append(f"p={p} n={n}: the row is not a palindrome")
     for i, in_list, in_text in zip(range(1, n + 1), listed, text):
         counted = direction_edge_count(g, i)
         closed = direction_edge_count_closed(p, n, i)
@@ -127,7 +128,7 @@ def _counts_at(
     census = Counter(b.bit_count() for b in g.bits)
     top = max_weight(p, n)
     row = weight_census(p, n)
-    text = [str(c) for c in decimal_row(weight_census, p, n)]
+    text = list(decimal_text(weight_row, p, n))
     if len(row) != top + 1 or len(text) != top + 1:
         bad["weight-census"].append(
             f"p={p} n={n}: row of {len(row)} weights, text of {len(text)}"

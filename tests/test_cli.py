@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -11,9 +13,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fibpcubes
-from fibpcubes import cli, graph, sequences, verify
+from fibpcubes import cli, graph, sequences, strings, verify
 from fibpcubes.polynomials import (
     BivarPoly,
     Polynomial,
@@ -21,6 +25,7 @@ from fibpcubes.polynomials import (
     cube_poly_closed,
     dist_cube_poly_closed,
 )
+from fibpcubes.sequences import LazyList
 from fibpcubes.verify import CheckResult
 
 from conftest import as_dict
@@ -55,9 +60,9 @@ CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 ))
 
 
-def run_limited(*argv, limit_kb=1_500_000, code=None):
+def run_limited(*argv, limit_kb=1_500_000, code=None, stdout=subprocess.PIPE):
     """The CLI, or the given code, in a child limited to limit_kb of address
-    space and 30 s."""
+    space and 30 s; its stdout captured unless another target is given."""
     limit = limit_kb * 1024
 
     def cap_memory():
@@ -65,7 +70,7 @@ def run_limited(*argv, limit_kb=1_500_000, code=None):
 
     args = ["-c", code] if code is not None else ["-m", "fibpcubes", *argv]
     return subprocess.run(
-        [sys.executable, *args], capture_output=True,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
         text=True, env=CHILD_ENV, preexec_fn=cap_memory, timeout=30,
     )
 
@@ -416,11 +421,21 @@ class TestSizeLimits:
         )
 
     def test_out_of_memory_is_one_error_line(self):
-        # No budget refuses this yet: the weight census alone is ~1.25 GB.
-        done = run_limited("count", "--p", "1", "--n", "200000", limit_kb=150_000)
+        # No budget refuses this yet: the distance polynomial has 4.5 million
+        # big-int terms, all made before its first byte.
+        done = run_limited("poly", "distance", "--p", "0", "--n", "3000",
+                           limit_kb=150_000)
         assert done.returncode == 3
         assert done.stdout == ""
         assert done.stderr == "error: out of memory\n"
+
+    def test_long_row_streams_under_a_small_limit(self):
+        # The weight row of n = 40000 takes about 66 MB when it is held.
+        # Each entry is made, written and dropped in turn, so the command
+        # needs little more than the interpreter.
+        done = run_limited("count", "--p", "1", "--n", "40000", limit_kb=40_000,
+                           stdout=subprocess.DEVNULL)
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_scalar_closed_forms_need_no_table(self):
         # At n = 10^5 the table of every F_i alone needs 460 MB at p = 1; the
@@ -518,7 +533,7 @@ class TestIndices:
         def row(*args):
             raise AssertionError("a per-direction row was built")
 
-        monkeypatch.setattr(sequences, "decimal_row", row)
+        monkeypatch.setattr(sequences, "decimal_text", row)
         monkeypatch.setattr(graph, "direction_edge_counts_closed", row)
         monkeypatch.setattr(graph, "direction_edge_count", row)
         argv = ("indices", "--p", "1", "--n", str(n), "--cap", cap)
@@ -540,14 +555,14 @@ class TestIndices:
         assert doc["mostar"]["oracle"] == doc["mostar"]["closed"]
 
     def test_one_direction_row_serves_every_closed_value(self, monkeypatch, capsys):
-        # The row is built once, as decimals, for the list.  The Wiener and
-        # Mostar closed forms take their sum of squares from the jump, which
-        # agrees with the listed row's, and no table of F reaches n.
+        # The row is built once, as decimal text, for the list.  The Wiener
+        # and Mostar closed forms take their sum of squares from the jump,
+        # which agrees with the listed row's, and no table of F reaches n.
         built_for = []
-        row = sequences.decimal_row
+        row = sequences.decimal_text
         monkeypatch.setattr(
             sequences,
-            "decimal_row",
+            "decimal_text",
             lambda make, p, n: built_for.append((make, p, n)) or row(make, p, n),
         )
         tables = {}
@@ -590,7 +605,63 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
+def traced_peak(argv):
+    """The tracemalloc peak of one in-process run, its stdout discarded.
+
+    Building the parser leaves cyclic garbage, a few tens of KB; the
+    collector is paused so that every run keeps all of it until it ends,
+    and where a collection falls does not decide a comparison.
+    """
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            assert cli.main(list(argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+JSON_DOCS = st.recursive(
+    st.lists(JSON_SCALARS) | st.dictionaries(st.text(), JSON_SCALARS),
+    lambda inner: st.lists(inner | JSON_SCALARS, max_size=4)
+    | st.dictionaries(st.text(), inner | JSON_SCALARS, max_size=4),
+    max_leaves=12,
+)
+
+
+def written_json(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(doc)
+    return out.getvalue()
+
+
 class TestStreamedOutput:
+    @given(JSON_DOCS)
+    def test_json_writer_is_json_dump(self, doc):
+        # Empty containers, nesting, and strings that need escapes.
+        assert written_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_json_writer_walks_a_lazy_row_once(self):
+        walks = []
+
+        def make(texts):
+            walks.append(texts)
+            return iter(texts)
+
+        doc = {
+            "row": LazyList(functools.partial(make, ["1", "-20", "300"]), 3),
+            "rows": [LazyList(functools.partial(make, []), 0)],
+        }
+        assert written_json(doc) == json.dumps(
+            {"row": ["1", "-20", "300"], "rows": [[]]}, indent=2
+        ) + "\n"
+        assert walks == [["1", "-20", "300"], []]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -657,15 +728,26 @@ class TestStreamedOutput:
         monkeypatch.setattr(sys, "stdout", Discard())
         argv = ["count", "--p", "1", "--n", "3000", "--format"]
         assert cli.main(argv + ["text"]) == 0  # fills what both runs cache
-        peaks = {}
-        for form in ("text", "json"):
-            tracemalloc.start()
-            try:
-                assert cli.main(argv + [form]) == 0
-                peaks[form] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {form: traced_peak(argv + [form]) for form in ("text", "json")}
         assert peaks["json"] < 1.25 * peaks["text"], peaks
+
+    @pytest.mark.parametrize(
+        "argv, row, p, n",
+        [
+            (("count", "--p", "1", "--n", "12000"), strings.weight_row, 1, 12000),
+            (("indices", "--p", "2", "--n", "8000", "--cap", "0"),
+             sequences.direction_products, 2, 8000),
+        ],
+        ids=["count", "indices"],
+    )
+    def test_rows_stream_in_constant_memory(self, argv, row, p, n):
+        # Beyond what the same command takes at n = 0, the peak is a small
+        # multiple of the longest entry's text; a held row is thousands.
+        empty = argv[:4] + ("0",) + argv[5:]
+        traced_peak(argv)  # fills the caches and imports what both need
+        over = traced_peak(argv) - traced_peak(empty)
+        longest = max(map(len, sequences.decimal_text(row, p, n)))
+        assert over < 32 * longest, (over, longest)
 
     def test_refusal_writes_nothing(self, capsys):
         code, out, err = run(capsys, "indices", "--p", "0", "--n", "24")

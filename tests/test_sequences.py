@@ -12,7 +12,7 @@ from fibpcubes.sequences import (
     _jump_pays,
     binomial,
     convolve_prefix,
-    decimal_row,
+    decimal_text,
     direction_products,
     edge_denominator,
     edge_terms,
@@ -28,7 +28,7 @@ from fibpcubes.sequences import (
     square_sum_closed,
     total_edges_closed,
 )
-from fibpcubes.strings import weight_census
+from fibpcubes.strings import weight_census, weight_row
 
 
 def classical_fibonacci(n):
@@ -283,7 +283,7 @@ def test_windows_run_both_ways(p, route):
     for n in range(61):
         assert list(pfib_falling(p, n)) == fib[n:0:-1]
         assert list(direction_products(p, n)) == [
-            fib[i] * fib[n - i + 1] for i in range(1, (n + 1) // 2 + 1)
+            fib[i] * fib[n - i + 1] for i in range(1, n + 1)
         ]
     assert list(islice(edges_rising(p), 61)) == table_sums(p, 60, 1)
 
@@ -298,7 +298,7 @@ def test_windows_start_lazily_at_huge_p():
 @pytest.mark.parametrize(
     "row, p, n",
     [
-        (weight_census, 1, 8000),
+        (weight_row, 1, 8000),
         (direction_products, 2, 8000),
         (direction_products, 0, 4000),  # the falling window halves
         (direction_products, 100, 20000),  # the jump does not pay here
@@ -306,7 +306,7 @@ def test_windows_start_lazily_at_huge_p():
     ids=["weights", "directions", "halving", "windows"],
 )
 def test_decimal_row_prints_the_int_row(row, p, n):
-    assert [str(c) for c in decimal_row(row, p, n)] == [str(c) for c in row(p, n)]
+    assert list(decimal_text(row, p, n)) == [str(c) for c in row(p, n)]
 
 
 def test_decimal_row_raises_where_a_step_would_round(monkeypatch):
@@ -314,4 +314,15 @@ def test_decimal_row_raises_where_a_step_would_round(monkeypatch):
     narrow.prec = 2
     monkeypatch.setattr(sequences, "exact_context", lambda: narrow)
     with pytest.raises(decimal.Inexact):
-        decimal_row(weight_census, 1, 30)
+        list(decimal_text(weight_row, 1, 30))
+
+
+def test_decimal_text_keeps_the_callers_context():
+    # Each step runs in the exact context, and a row that waits between its
+    # entries leaves the caller's context as it found it.
+    with decimal.localcontext(decimal.Context(prec=2, traps=[])) as caller:
+        texts = decimal_text(weight_row, 1, 60)
+        first = [next(texts), next(texts)]
+        assert decimal.getcontext() is caller
+        assert first + list(texts) == [str(c) for c in weight_census(1, 60)]
+        assert decimal.getcontext() is caller

@@ -21,8 +21,14 @@ def bump_last_entry(values):
     return values[:-1] + [values[-1] + 1] if values else values
 
 
-def drop_last_entry(values):
-    return values[:-1]
+def drop_last_text(texts):
+    return iter(list(texts)[:-1])
+
+
+def rotate_by_one(texts):
+    # A row of the right entries, out of order: [2, 1, 2] becomes [1, 2, 2].
+    texts = list(texts)
+    return iter(texts[1:] + texts[:1])
 
 
 def always_false(_):
@@ -46,8 +52,8 @@ def bump_first_coefficient(series):
         ("direction_edge_counts_closed", bump_last_entry, "counts/directions"),
         ("count_by_weight", plus_one, "counts/weight-census"),
         ("weight_census", bump_last_entry, "counts/weight-census"),
-        ("decimal_row", drop_last_entry, "counts/directions"),
-        ("decimal_row", drop_last_entry, "counts/weight-census"),
+        ("decimal_text", drop_last_text, "counts/directions"),
+        ("decimal_text", drop_last_text, "counts/weight-census"),
         ("weight_poly", plus_one, "cubes/daisy-identities"),
         ("cube_poly_closed", plus_one, "cubes/counts"),
         ("dist_cube_poly_closed", plus_one, "cubes/daisy-identities"),
@@ -112,6 +118,25 @@ def test_misaligned_mirror_fails(monkeypatch, capsys, check):
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4"])
     assert code == 1
     assert f"FAIL {check} p=1: p=1 n=3" in capsys.readouterr().out
+
+
+def test_text_row_out_of_order_is_no_palindrome(monkeypatch, capsys):
+    # Every entry is a right count, but the printed row is no longer
+    # symmetric; the weight row is left alone.
+    original = verify.decimal_text
+
+    def rotated(row, p, n):
+        texts = original(row, p, n)
+        return rotate_by_one(texts) if row is sequences.direction_products else texts
+
+    monkeypatch.setattr(verify, "decimal_text", rotated)
+    results = verify.run_suite("counts", [1], range(5))
+    assert [r.name for r in results if not r.passed] == ["counts/directions p=1"]
+
+    code = cli.main(["verify", "counts", "--p", "1", "--n", "0..4"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL counts/directions p=1: p=1 n=3: the row is not a palindrome\n" in out
 
 
 def test_rounding_decimal_context_fails_the_text_routes(monkeypatch, capsys):
