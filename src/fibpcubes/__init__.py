@@ -2,7 +2,7 @@
 
 Builds the gap-constrained hypercube subgraphs explicitly, computes their
 invariants both by closed formula and by brute-force oracle, and checks
-every generating-function identity through truncated formal power series.
+every generating-function identity by the recurrence of its rational series.
 
 The public names below are imported from their submodule on first access
 (PEP 562), so importing the package, or running one command, loads only

@@ -21,7 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
+from functools import cache, partial
+from typing import Iterator
 
 from .errors import SizeLimitError
 
@@ -67,6 +68,7 @@ def _nonneg(text: str) -> int:
     return value
 
 
+@cache  # argparse leaves reference cycles behind: build them once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibpcubes",
@@ -83,14 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--n-range", dest="n", type=_span, required=True, metavar="N[..N2]"
     )
     count.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    count.set_defaults(run=cmd_count)
 
     poly = sub.add_parser("poly", help="print one counting polynomial")
     poly.add_argument("kind", choices=POLY_KINDS)
     poly.add_argument("--p", type=_nonneg, required=True)
     poly.add_argument("--n", type=_nonneg, required=True)
     poly.add_argument("--format", choices=("text", "json"), default="text")
-    poly.set_defaults(run=cmd_poly)
 
     verify = sub.add_parser("verify", help="run closed-form vs oracle suites")
     verify.add_argument("suite", choices=SUITE_CHOICES)
@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--N", dest="order", type=_nonneg, default=DEFAULT_ORDER)
     verify.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.set_defaults(run=cmd_verify)
 
     export = sub.add_parser("export", help="write the materialized graph")
     export.add_argument("--p", type=_nonneg, required=True)
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--format", choices=("dot", "json"), default="dot")
     export.add_argument("--output", default="-", help="file path or - for stdout")
     export.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
-    export.set_defaults(run=cmd_export)
 
     indices = sub.add_parser(
         "indices", help="distance/degree invariants, closed and oracle"
@@ -118,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     indices.add_argument("--n", type=_nonneg, required=True)
     indices.add_argument("--cap", type=_nonneg, default=DEFAULT_CAP)
     indices.add_argument("--format", choices=("json", "text"), default="json")
-    indices.set_defaults(run=cmd_indices)
     return parser
 
 
@@ -142,8 +139,9 @@ def _write_json(doc: "dict | list") -> None:
     """Write ``json.dump(doc, indent=2)`` and a newline, piece by piece.
 
     A list is written entry by entry as it is walked, so a ``LazyList`` row
-    is made, written and dropped one entry at a time.  A row's strings are
-    number text, which needs no escape, so they are quoted as they are.
+    is made, written and dropped one entry at a time, as are the items of a
+    ``LazyDict``.  A row's strings are number text, which needs no escape,
+    so they are quoted as they are.
     """
     import json
     from json.encoder import encode_basestring_ascii as escape
@@ -152,23 +150,23 @@ def _write_json(doc: "dict | list") -> None:
 
     def write(container: "dict | list", newline: str) -> None:
         inner = newline + "  "
-        if isinstance(container, dict):
-            brackets, row = "{}", False
-            items = ((escape(key) + ": ", item) for key, item in container.items())
-        else:
-            brackets, row = "[]", isinstance(container, LazyList)
-            items = (("", item) for item in container)
+        keyed, row = isinstance(container, dict), isinstance(container, LazyList)
+        brackets = "{}" if keyed else "[]"
         opener = brackets[0] + inner
-        for head, item in items:  # one write per scalar
+        # no generator of its own: the walk holds only what the container makes
+        for item in container.items() if keyed else container:  # one write per scalar
+            if keyed:
+                key, item = item
+                opener += escape(key) + ": "
             if row and isinstance(item, str):
                 out.write(f'{opener}"{item}"')
             elif isinstance(item, str):
-                out.write(opener + head + escape(item))
+                out.write(opener + escape(item))
             elif isinstance(item, (dict, list, tuple)):
-                out.write(opener + head)
+                out.write(opener)
                 write(item, inner)
             else:  # None, a bool or an int
-                out.write(opener + head + json.dumps(item))
+                out.write(opener + json.dumps(item))
             opener = "," + inner
         out.write(newline + brackets[1] if opener[0] == "," else brackets)
 
@@ -185,23 +183,26 @@ _COUNT_LINES = {
 }
 
 
+def _count_doc(point: tuple[int, ...]) -> dict:
+    """A count point's JSON object; each scalar's text is made as it is written."""
+    from .sequences import LazyDict, LazyList, decimal_text
+    from .strings import weight_row
+
+    def items() -> Iterator[tuple[str, object]]:
+        yield from zip(_COUNT_KEYS, map(str, point))
+        row = partial(decimal_text, weight_row, *point[:2])
+        yield "weight_census", LazyList(row, point[-1] + 1)
+
+    return LazyDict(items, len(_COUNT_KEYS) + 1)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     from .sequences import LazyList, decimal_text
     from .strings import weight_row
 
     points = _count_points(args)
-    if args.format == "json":
-        _write_json(
-            [
-                {
-                    **dict(zip(_COUNT_KEYS, map(str, point))),
-                    "weight_census": LazyList(
-                        partial(decimal_text, weight_row, *point[:2]), point[-1] + 1
-                    ),
-                }
-                for point in points
-            ]
-        )
+    if args.format == "json":  # each point is made when the writer reaches it
+        _write_json(LazyList(partial(map, _count_doc, points), len(points)))
         return EXIT_OK
     header, line, sep = _COUNT_LINES[args.format]
     out = sys.stdout
@@ -361,7 +362,8 @@ def main(argv: "list[str] | None" = None) -> int:
         saved_digits = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        code = args.run(args)
+        # the module's current cmd_*, so that a rebinding of it takes effect
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a reader that closed the pipe is found here
         return code
     except BrokenPipeError:  # the reader left; the exit flush goes to devnull

@@ -381,6 +381,8 @@ class LazyList(list):
     JSON escapes.
     """
 
+    __slots__ = ("make", "size")
+
     def __init__(self, make: Callable[[], Iterable], size: int) -> None:
         super().__init__()
         self.make = make
@@ -390,6 +392,28 @@ class LazyList(list):
         return self.size
 
     def __iter__(self) -> Iterator:
+        return iter(self.make())
+
+
+class LazyDict(dict):
+    """A JSON object of ``size`` (key, value) items that ``make()`` makes
+    afresh on each walk, as a ``LazyList`` makes its entries.
+
+    It holds none of them.  The JSON writer and ``json.dumps`` with an
+    indent read it through ``len`` and ``items()``.
+    """
+
+    __slots__ = ("make", "size")
+
+    def __init__(self, make: Callable[[], Iterable], size: int) -> None:
+        super().__init__()
+        self.make = make
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def items(self) -> Iterator:  # type: ignore[override]
         return iter(self.make())
 
 

@@ -1,17 +1,21 @@
-"""Truncated formal power series in t over an exact coefficient ring.
+"""Rational generating functions in t, expanded by their one recurrence.
 
-A series' ring is its coefficients' type: ints, Polynomials or BivarPolys,
-whose zero is the type called with no argument and whose one is that zero
-plus 1.  One engine therefore serves every generating function checked
-here.  Arithmetic is exact and never consults orders beyond the truncation.
+Every series checked here is num/den for two short tuples of coefficients
+in t, with den[0] the ring's one, so its coefficients obey the linear
+recurrence a_n = num_n - sum_{i>=1} den_i * a_{n-i}.  `expand` runs it and
+holds only the last deg(den) terms.  A series' ring is its coefficients'
+type: ints, Polynomials or BivarPolys, whose zero is the type called with
+no argument and whose one is that zero plus 1.  Arithmetic is exact.
 Every check here sets a series against a closed form or another series;
 none builds a graph.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Sequence
+from itertools import chain, islice, repeat
+from typing import Any, Iterator, Sequence
 
 from .polynomials import MARKERS, Polynomial, cube_count_closed
 from .sequences import pfib
@@ -29,100 +33,56 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def from_coeffs(ring: type, values: Sequence[Any], order: int) -> "TruncatedSeries":
-        vals = list(values)[: order + 1]
-        vals.extend([ring()] * (order + 1 - len(vals)))
-        return TruncatedSeries(tuple(vals))
-
-    @staticmethod
-    def one(ring: type, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(ring, [ring() + 1], order)
-
     def coeff(self, k: int) -> Any:
         if not 0 <= k <= self.order:
             raise ValueError(f"order {k} outside the truncation [0, {self.order}]")
         return self.coeffs[k]
 
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if type(self.coeffs[0]) is not type(other.coeffs[0]):
-            raise ValueError("series over different coefficient rings")
-        if self.order != other.order:
-            raise ValueError(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        zero = type(self.coeffs[0])()
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b != zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(tuple(out))
+def expand(num: Sequence[Any], den: Sequence[Any], order: int) -> Iterator[Any]:
+    """Yield the t^0 .. t^order coefficients of num/den, in their ring.
 
-    def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
-        out = TruncatedSeries.one(type(self.coeffs[0]), self.order)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse via the standard recurrence.
-
-        Requires the constant coefficient to be the ring unit.
-        """
-        zero = type(self.coeffs[0])()
-        one = zero + 1
-        if self.coeffs[0] != one:
-            raise ValueError("series inverse needs constant coefficient one")
-        # inv[m] = -sum_i c_i inv[m - i]: negate the few c_i, not every inv[m]
-        terms = [(i, -c) for i, c in enumerate(self.coeffs) if i and c != zero]
-        inv: list[Any] = [one]
-        for m in range(1, self.order + 1):
-            acc = zero
-            for i, c in terms:
-                if i > m:
-                    break
-                acc = acc + c * inv[m - i]
-            inv.append(acc)
-        return TruncatedSeries(tuple(inv))
+    The ring is den's; den[0] must be its one.  Only the last deg(den)
+    coefficients are held.
+    """
+    zero = type(den[0])()
+    if den[0] != zero + 1:
+        raise ValueError("a series denominator needs constant coefficient one")
+    # a_n = num_n - sum_i den_i a_{n-i}: negate the few den_i, not every a_n
+    taps = [(i, -c) for i, c in enumerate(den) if i and c != zero]
+    recent: deque = deque(maxlen=len(den) - 1)  # recent[i - 1] is a_{n-i}
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else zero
+        for i, c in taps:
+            if i > n:
+                break
+            acc = acc + c * recent[i - 1]
+        recent.appendleft(acc)
+        yield acc
 
 
 def pfib_series(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The series whose t^n coefficient is F^p_n."""
-    return TruncatedSeries.from_coeffs(
-        int, [pfib(p, i) for i in range(order + 1)], order
-    )
+    return TruncatedSeries(tuple(pfib(p, i) for i in range(order + 1)))
 
 
-def gap_denominator(marker: Any, p: int, order: int) -> TruncatedSeries:
-    """The series 1 - t - marker * t^{p+1}, truncated at order.
+def gap_denominator(marker: Any, p: int) -> TruncatedSeries:
+    """The p + 2 coefficients of 1 - t - marker * t^{p+1}.
 
-    Its ring is the marker's type.
+    Their ring is the marker's type.
     """
-    vals = [type(marker)()] * (order + 1)
-    vals[0] = vals[0] + 1
-    if order >= 1:
-        vals[1] = vals[1] - 1
-    if p + 1 <= order:
-        vals[p + 1] = vals[p + 1] - marker
+    if p < 0:
+        raise ValueError(f"p must be non-negative, got {p}")
+    zero = type(marker)()
+    vals = [zero + 1, zero - 1] + [zero] * p
+    vals[p + 1] = vals[p + 1] - marker
     return TruncatedSeries(tuple(vals))
 
 
-def _marked_rational(marker: Any, p: int, order: int) -> TruncatedSeries:
+def _marked_terms(marker: Any, p: int, order: int) -> Iterator[Any]:
     # (1 + marker*t + ... + marker*t^p) / (1 - t - marker*t^{p+1})
-    ring = type(marker)
-    numerator = TruncatedSeries.from_coeffs(ring, [ring() + 1] + [marker] * p, order)
-    return numerator * gap_denominator(marker, p, order).inverse()
+    numerator = [type(marker)() + 1] + [marker] * p
+    return expand(numerator, gap_denominator(marker, p).coeffs, order)
 
 
 def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -138,7 +98,7 @@ def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSerie
         marker = MARKERS[kind]
     except KeyError:
         raise ValueError(f"unknown generating function kind {kind!r}") from None
-    return _marked_rational(marker, p, order)
+    return TruncatedSeries(tuple(_marked_terms(marker, p, order)))
 
 
 def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
@@ -146,35 +106,32 @@ def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
 
     With y the weight marker, S = (1 + y*t + ... + y*t^p)/(1 - t - y*t^{p+1})
     must satisfy t^p * S = 1/(1 - t - y*t^{p+1}) - (1 + t + ... + t^{p-1}).
-    Both sides are computed independently, coefficient by coefficient.
+    Both sides are expanded independently and compared term by term.
     """
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
     y = MARKERS["weight"]
-    marked = _marked_rational(y, p, order)
-    reciprocal = gap_denominator(y, p, order + p).inverse()
-    for m in range(p):
-        if reciprocal.coeff(m) != Polynomial.one():
-            return False
-    for m in range(order + 1):
-        if marked.coeff(m) != reciprocal.coeff(m + p):
-            return False
-    return True
+    one = Polynomial.one()
+    reciprocal = expand([one], gap_denominator(y, p).coeffs, order + p)
+    if any(c != one for c in islice(reciprocal, p)):
+        return False
+    return all(a == b for a, b in zip(_marked_terms(y, p, order), reciprocal))
 
 
 def verify_cube_count_gf(p: int, k: int, order: int = DEFAULT_ORDER) -> bool:
     """Coefficient check of the fixed-k cube-count generating function.
 
-    The series is t^e R^(k+1), R = 1/(1 - t - t^{p+1}), e = kp - p + k: its
-    t^n coefficient is [t^(n-e)] R^(k+1), or 0 for n < e, and must equal the
-    closed-form count for every n <= order.  As e >= -p, R runs to order + p.
+    The series is t^e / Q^(k+1), Q = 1 - t - t^{p+1}, e = kp - p + k: its
+    t^n coefficient is [t^(n-e)] 1/Q^(k+1), or 0 for n < e, and must equal
+    the closed-form count for every n <= order.  As e >= -p, the expansion
+    runs to order + p at most.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    powered = Polynomial.from_coeffs(gap_denominator(1, p).coeffs) ** (k + 1)
     exponent = k * p - p + k
-    powered = gap_denominator(1, p, order + p).inverse() ** (k + 1)
+    terms = expand([1], powered.coeffs, order - exponent)
+    shifted = chain(repeat(0, max(exponent, 0)), islice(terms, max(-exponent, 0), None))
     return all(
-        (powered.coeff(n - exponent) if n >= exponent else 0)
-        == cube_count_closed(p, n, k)
-        for n in range(order + 1)
+        c == cube_count_closed(p, n, k) for n, c in zip(range(order + 1), shifted)
     )

@@ -64,7 +64,6 @@ from .sequences import (
 )
 from .series import (
     DEFAULT_ORDER,
-    TruncatedSeries,
     gap_denominator,
     pfib_series,
     rational_gf,
@@ -248,9 +247,13 @@ def _cubes_at(
 
 def _gf_at(bad: PerCheck, notes: PerCheck, p: int, order: int) -> None:
     out = bad["identities"]
-    denom = gap_denominator(1, p, order)
-    t_series = TruncatedSeries.from_coeffs(int, [0, 1], order)
-    if pfib_series(p, order) * denom != t_series:
+    # The recurrence run on F: sum_i den_i F_{n-i} is [t^n] t.
+    den = gap_denominator(1, p).coeffs
+    fib = pfib_series(p, order).coeffs
+    if any(
+        sum(c * fib[n - i] for i, c in enumerate(den[: n + 1])) != int(n == 1)
+        for n in range(order + 1)
+    ):
         out.append(f"p={p}: sequence series times (1 - t - t^{p + 1}) != t")
     gfs = {kind: rational_gf(p, kind, order) for kind in MARKERS}
     for n, (kind, gf) in product(range(order + 1), gfs.items()):

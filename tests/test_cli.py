@@ -608,9 +608,8 @@ class Discard(io.TextIOBase):
 def traced_peak(argv):
     """The tracemalloc peak of one in-process run, its stdout discarded.
 
-    Building the parser leaves cyclic garbage, a few tens of KB; the
-    collector is paused so that every run keeps all of it until it ends,
-    and where a collection falls does not decide a comparison.
+    The collector is paused, so that where a collection falls does not
+    decide a comparison.
     """
     gc.collect()
     gc.disable()
@@ -771,6 +770,24 @@ class TestUsageAndDeterminism:
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "poly", "cube", "--p", "1")
         assert code == 2
+
+    def test_repeated_call_leaves_no_cyclic_garbage(self, capsys):
+        # argparse builds its parser out of reference cycles: once a process.
+        argv = ("count", "--p", "1", "--n", "3")
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            run(capsys, *argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dispatch_follows_a_rebound_command(self, monkeypatch, capsys):
+        # The parser outlives the call; the command is looked up at each one.
+        run(capsys, "count", "--p", "0", "--n", "0")
+        monkeypatch.setattr(cli, "cmd_count", lambda args: 7)
+        assert run(capsys, "count", "--p", "0", "--n", "0") == (7, "", "")
 
     @pytest.mark.parametrize(
         "argv",
