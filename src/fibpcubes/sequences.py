@@ -3,17 +3,22 @@
 Everything downstream counts with these values, and the counts overflow
 64 bits quickly, so all arithmetic stays on Python ints.
 
-Each value comes two ways.  The table route, ``PFibTable``, keeps every
-F_0 .. F_n.  The jump, ``recurrent_terms``, reaches the n-th term of a
-linearly recurrent sequence in O(log n) squarings of d ints, where d is
-the order of its recurrence.  It serves |V| = F(n+p+1), the edge count
+F_n = F_{n-1} + F_{n-p-1} runs in one generator, ``pfib_from``, which
+skips the seed in O(1) and holds at most p + 1 values past it.
+
+The scalars come two ways, the jump and the windows.  The jump,
+``recurrent_terms``, reaches the n-th term of a linearly recurrent
+sequence in O(log n) squarings of d ints, where d is the order of its
+recurrence.  It serves |V| = F(n+p+1), the edge count
 |E(n)| = sum F_i F_{n-i+1}, and S(n) = sum (F_i F_{n-i+1})^2, so the
-scalar closed forms hold O(n) bits where the table holds Theta(n^2).  The
-jump stores only each sequence's first terms, taken from the table route.
+scalar closed forms hold O(n) bits, not the Theta(n^2) of every F_i up
+to n.  The jump stores only each sequence's first terms, taken from
+``pfib_prefix``.
 
 The orders are p + 1, 2p + 2 and (p+1)(p+2), and the jump costs about d^2
 products, so where p is large beside n the same terms come by stepping up
-from the seed through windows of O(p) values instead (``_jump_pays``).
+from the seed through windows of at most p + 1 values instead
+(``_jump_pays``).
 """
 
 from __future__ import annotations
@@ -21,65 +26,56 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
-class PFibTable:
-    """Growable table of F_0, F_1, ... for a fixed gap parameter p.
+# No table of F is kept; perfbench/run.py clears this before each in-process run.
+_tables: dict = {}
 
-    Seeded with F_0 = 0 and F_i = 1 for i in [1, p+1]; later entries follow
-    F_n = F_{n-1} + F_{n-p-1}.  For p >= 1 the seed at p+1 agrees with the
-    recursion (F_{p+1} = F_p + F_0); for p = 0 the recursion alone would
-    collapse to all zeros, and the explicit seed yields F_n = 2^(n-1).
-    The table is append-only: values never change once returned.
+
+def pfib_from(p: int, n: int, one=1) -> Iterator:
+    """F^p_n, F^p_{n+1}, ... without end.
+
+    The seed F_0 = 0, F_1 .. F_{p+1} = one is skipped in O(1).  Past it
+    F_k = F_{k-1} + F_{k-p-1}, where F_{k-p-1} is a seed ``one`` up to
+    k = 2p + 2 and then the value made p + 1 steps before, so no call costs
+    O(p) before its first value, and at most min(p + 1, steps taken) values
+    are held.  At p = 0 the recursion alone would collapse to all zeros; the
+    explicit seed F_1 = 1 gives F_n = 2^(n-1).  The values are sums of
+    seeds ``one``: ints by default, exact decimals for ``decimal_text``.
     """
-
-    __slots__ = ("p", "_values")
-
-    def __init__(self, p: int) -> None:
-        if p < 0:
-            raise ValueError(f"p must be non-negative, got {p}")
-        self.p = p
-        self._values = [0] + [1] * (p + 1)
-
-    def value(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"index must be non-negative, got {n}")
-        values = self._values
-        step = self.p + 1
-        known = len(values)
-        try:
-            while len(values) <= n:
-                values.append(values[-1] + values[-step])
-        except MemoryError:
-            # The cached table gives back what this call grew.  One entry at
-            # a time: deleting a slice would allocate a buffer for it.
-            while len(values) > known:
-                values.pop()
-            raise
-        return values[n]
-
-    def prefix(self, n: int) -> list[int]:
-        """The values F_0 .. F_n as a fresh list."""
-        self.value(n)
-        return self._values[: n + 1]
+    if p < 0:
+        raise ValueError(f"p must be non-negative, got {p}")
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
+    seed = (one if k else one - one for k in range(n, p + 2))  # F_n .. F_{p+1}
+    return chain(seed, islice(_past_seed(p, one), max(n - p - 2, 0), None))
 
 
-_tables: dict[int, PFibTable] = {}
-
-
-def pfib_table(p: int) -> PFibTable:
-    table = _tables.get(p)
-    if table is None:
-        table = _tables.setdefault(p, PFibTable(p))
-    return table
+def _past_seed(p: int, one) -> Iterator:
+    """F_{p+2}, F_{p+3}, ... from the seed ``one``."""
+    made: deque = deque()  # F_{k-p-1} .. F_{k-1} once k > 2p + 2
+    last = one
+    for _ in range(p + 1):
+        last = last + one
+        made.append(last)
+        yield last
+    while True:
+        last = last + made.popleft()
+        made.append(last)
+        yield last
 
 
 def pfib(p: int, n: int) -> int:
     """The Fibonacci p-number F^p_n; p = 1 gives the classical sequence."""
-    return pfib_table(p).value(n)
+    return next(pfib_from(p, n))
+
+
+def pfib_prefix(p: int, n: int) -> list[int]:
+    """F_0 .. F_n as a fresh list."""
+    return list(islice(pfib_from(p, 0), n + 1))
 
 
 def binomial(n: int, k: int) -> int:
@@ -103,13 +99,15 @@ def kfold_convolution(p: int, k: int, m: int) -> int:
     """Sum of F^p_{i_0} ... F^p_{i_k} over (k+1)-tuples with i_0+...+i_k = m.
 
     Computed by convolving the sequence prefix with itself k times rather
-    than enumerating tuples; k = 0 reduces to pfib(p, m).
+    than enumerating tuples; k = 0 is pfib(p, m).
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    base = pfib_table(p).prefix(m)
+    if k == 0:
+        return pfib(p, m)
+    base = pfib_prefix(p, m)
     acc = base
     for _ in range(k):
         acc = convolve_prefix(acc, base, m)
@@ -236,8 +234,8 @@ def pair_denominator(p: int) -> tuple[int, ...]:
 
 @cache
 def _direction_power_sums(p: int, power: int, count: int) -> tuple[int, ...]:
-    # The table route for m < count: sum over i of (F_i F_{m-i+1})^power.
-    fib = pfib_table(p).prefix(count)
+    # The first terms for m < count: sum over i of (F_i F_{m-i+1})^power.
+    fib = pfib_prefix(p, count)
     return tuple(
         sum((fib[i] * fib[m - i + 1]) ** power for i in range(1, m + 1))
         for m in range(count)
@@ -260,10 +258,8 @@ def _jump_pays(order: int, n: int) -> bool:
 def pfib_terms(p: int, n: int, count: int = 1) -> list[int]:
     """F_n .. F_{n+count-1}; the jump stores F_0 .. F_p (F_0, F_1 at p = 0)."""
     if _jump_pays(p + 1, n):
-        return recurrent_terms(
-            pfib_denominator(p), pfib_table(p).prefix(max(p, 1)), n, count
-        )
-    return list(islice(chain((0,), pfib_rising(p)), n, n + count))
+        return recurrent_terms(pfib_denominator(p), pfib_prefix(p, max(p, 1)), n, count)
+    return list(islice(pfib_from(p, n), count))
 
 
 def edge_terms(p: int, n: int, count: int = 1) -> list[int]:
@@ -290,20 +286,6 @@ def square_sum_closed(p: int, n: int) -> int:
         q = _squared(pair_denominator(p))
         return recurrent_terms(q, _direction_power_sums(p, 2, len(q) - 1), n)[0]
     return sum(count * count for count in direction_products(p, n))
-
-
-def pfib_rising(p: int, one=1) -> Iterator:
-    """F_1, F_2, ... without end, from a window of the last p + 1 values.
-
-    Every value is a sum of seeds ``one``: ints by default, exact decimals
-    for ``decimal_text``.  The falling window and the row of products below
-    take the same seed.
-    """
-    yield from repeat(one, p + 1)
-    window = deque(repeat(one, p + 1), maxlen=p + 1)  # F_{k-p-1} .. F_{k-1}
-    while True:
-        window.append(window[-1] + window[0])
-        yield window[-1]
 
 
 def pfib_falling(p: int, n: int, one=1) -> Iterator:
@@ -336,7 +318,7 @@ def edges_rising(p: int) -> Iterator[int]:
     |E(k)| = |E(k-1)| + |E(k-p-1)| + F_k, from a window of p + 1 counts."""
     yield from range(p + 1)
     window = deque(range(p + 1), maxlen=p + 1)  # |E(k-p-1)| .. |E(k-1)|
-    for fib in islice(pfib_rising(p), p, None):  # F_{p+1}, F_{p+2}, ...
+    for fib in pfib_from(p, p + 1):
         window.append(window[-1] + window[0] + fib)
         yield window[-1]
 
@@ -344,7 +326,7 @@ def edges_rising(p: int) -> Iterator[int]:
 def direction_products(p: int, n: int, one=1) -> Iterator:
     """F_i F_{n-i+1} for i = 1 .. n, the row of per-direction edge counts,
     from a rising and a falling window that each run the whole row."""
-    return map(mul, islice(pfib_rising(p, one), n), pfib_falling(p, n, one))
+    return map(mul, islice(pfib_from(p, 1, one), n), pfib_falling(p, n, one))
 
 
 def decimal_text(row: Callable[..., Iterator], p: int, n: int) -> Iterator[str]:

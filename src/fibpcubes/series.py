@@ -18,7 +18,7 @@ from itertools import chain, islice, repeat
 from typing import Any, Iterator, Sequence
 
 from .polynomials import MARKERS, Polynomial, cube_count_closed
-from .sequences import pfib
+from .sequences import pfib_prefix
 
 DEFAULT_ORDER = 20
 
@@ -63,7 +63,7 @@ def expand(num: Sequence[Any], den: Sequence[Any], order: int) -> Iterator[Any]:
 
 def pfib_series(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """The series whose t^n coefficient is F^p_n."""
-    return TruncatedSeries(tuple(pfib(p, i) for i in range(order + 1)))
+    return TruncatedSeries(tuple(pfib_prefix(p, order)))
 
 
 def gap_denominator(marker: Any, p: int) -> TruncatedSeries:

@@ -66,10 +66,13 @@ def _check_params(p: int, n: int) -> None:
 
 
 def is_pvalid(u: PString, p: int) -> bool:
-    """True when every two 1s of u are separated by at least p zeros."""
+    """True when every two 1s of u are separated by at least p zeros.
+
+    A shift by n or more clears every bit, so at most min(p, n) are tried.
+    """
     _check_params(p, u.n)
     bits = u.bits
-    return all(not (bits & (bits >> d)) for d in range(1, p + 1))
+    return all(not (bits & (bits >> d)) for d in range(1, min(p, u.n) + 1))
 
 
 def pvalid_bits(p: int, n: int) -> list[int]:
@@ -96,8 +99,7 @@ def check_vertex_limit(p: int, n: int) -> None:
     """Refuse with SizeLimitError when length n has over MAX_VERTICES strings.
 
     Sums the weight census and stops once the sum passes the limit, so the
-    cost stays small for any p and n; the table of F up to n+p+1 is never
-    filled.
+    cost stays small for any p and n; F up to n+p+1 is never stepped through.
     """
     total = 0
     for w in range(max_weight(p, n) + 1):

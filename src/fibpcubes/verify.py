@@ -186,7 +186,7 @@ def _partial_cube_mismatches(g: PCubeGraph) -> list[str]:
     # all pairs agree exactly when every pair does.
     tag = f"p={g.p} n={g.n}"
     order = g.vertex_count
-    ones = [sum(v.bit(i) for v in g.vertices) for i in range(1, g.n + 1)]
+    ones = [sum((b >> shift) & 1 for b in g.bits) for shift in range(g.n)]
     hamming_sum = sum(c * (order - c) for c in ones)
     try:
         wiener = wiener_oracle(g)

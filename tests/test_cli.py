@@ -391,6 +391,7 @@ class TestExport:
 
 
 BILLION = "1000000000"
+TRILLION = "1000000000000"
 
 
 class TestSizeLimits:
@@ -408,6 +409,13 @@ class TestSizeLimits:
         done = run_limited(*argv)
         assert done.returncode == 3, done.stderr
         assert f"{predicted} exceeds the vertex limit 262144" in done.stderr
+
+    def test_counts_suite_at_huge_p(self):
+        # Neither F nor the p-validity check steps through the p + 1 seed ones.
+        done = run_limited("verify", "counts", "--p", TRILLION, "--n", "0..5",
+                           "--cap", "5")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith("7/7 checks passed\n")
 
     @pytest.mark.parametrize(
         "p, n, supports", [("0", "14", 3**14), ("1", "24", 22369621)]
@@ -464,11 +472,13 @@ class TestSizeLimits:
         assert done.stdout.count(";") == 4 + 3
 
     @pytest.mark.parametrize(
-        "p, n", [("1000000", "3"), ("5000", "20000"), ("100000", "200000")]
+        "p, n",
+        [("1000000", "3"), ("5000", "20000"), ("100000", "200000"), (TRILLION, "3")],
     )
     def test_large_p_count_answers_at_once(self, p, n):
         # The jump's orders are p + 1 and 2p + 2, about p^2 products; where p
-        # is large beside n the windows step n + p times instead.
+        # is large beside n the windows step about n times instead, past a
+        # seed of p + 1 ones that they skip.
         done = run_limited("count", "--p", p, "--n", n, "--format", "json")
         assert done.returncode == 0, done.stderr
         (point,) = json.loads(done.stdout)
@@ -476,7 +486,9 @@ class TestSizeLimits:
         assert int(point["vertices"]) == sum(census)
         assert int(point["edges"]) == sum(w * c for w, c in enumerate(census))
 
-    @pytest.mark.parametrize("p, n", [("300", "5"), ("40", "10"), ("100", "20000")])
+    @pytest.mark.parametrize(
+        "p, n", [("300", "5"), ("40", "10"), ("100", "20000"), (TRILLION, "3")]
+    )
     def test_large_p_indices_answer_at_once(self, p, n):
         # S alone has order (p+1)(p+2): at p = 300 the jump would store
         # 90902 terms, and the windows sum the row's squares instead.
@@ -557,7 +569,7 @@ class TestIndices:
     def test_one_direction_row_serves_every_closed_value(self, monkeypatch, capsys):
         # The row is built once, as decimal text, for the list.  The Wiener
         # and Mostar closed forms take their sum of squares from the jump,
-        # which agrees with the listed row's, and no table of F reaches n.
+        # which agrees with the listed row's.
         built_for = []
         row = sequences.decimal_text
         monkeypatch.setattr(
@@ -565,12 +577,9 @@ class TestIndices:
             "decimal_text",
             lambda make, p, n: built_for.append((make, p, n)) or row(make, p, n),
         )
-        tables = {}
-        monkeypatch.setattr(sequences, "_tables", tables)
         code, out, _ = run(capsys, "indices", "--p", "2", "--n", "37", "--cap", "0")
         assert code == 0
         assert built_for == [(sequences.direction_products, 2, 37)]
-        assert all(len(table._values) < 37 for table in tables.values())
         doc = json.loads(out)
         squares = sum(int(c) ** 2 for c in doc["edge_counts_by_direction"]["closed"])
         assert int(doc["wiener"]["closed"]) - int(doc["mostar"]["closed"]) == squares

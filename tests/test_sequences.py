@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fibpcubes import invariants, sequences
 from fibpcubes.invariants import irregularity_closed
 from fibpcubes.sequences import (
-    PFibTable,
     _jump_pays,
     binomial,
     convolve_prefix,
@@ -21,8 +20,7 @@ from fibpcubes.sequences import (
     pair_denominator,
     pfib,
     pfib_falling,
-    pfib_rising,
-    pfib_table,
+    pfib_from,
     pfib_terms,
     recurrent_terms,
     square_sum_closed,
@@ -36,6 +34,14 @@ def classical_fibonacci(n):
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def plain_prefix(p, m):
+    """F_0 .. F_m by the recurrence, from the seed F_0 = 0, F_1 .. F_{p+1} = 1."""
+    values = [0] + [1] * (p + 1)
+    while len(values) <= m:
+        values.append(values[-1] + values[-p - 1])
+    return values[: m + 1]
 
 
 def tuple_sum_oracle(p, k, m):
@@ -89,44 +95,25 @@ def test_recursion_and_monotone():
         assert all(a <= b for a, b in zip(values[1:], values[2:]))
 
 
-def test_table_is_append_only():
-    table = PFibTable(2)
-    first = table.prefix(6)
-    table.value(20)
-    assert table.prefix(6) == first
-    assert table.prefix(6) is not table._values
+@pytest.mark.parametrize("p", range(7))
+def test_each_start_steps_on_from_the_recurrence(p):
+    fib = plain_prefix(p, 120)
+    for n in range(81):
+        assert list(islice(pfib_from(p, n), 40)) == fib[n : n + 40]
+        assert pfib(p, n) == fib[n]
 
 
-class RunsOut(int):
-    """An int whose sums succeed `left` more times, then raise MemoryError."""
-
-    def __new__(cls, value, left):
-        self = super().__new__(cls, value)
-        self.left = left
-        return self
-
-    def __add__(self, other):
-        if not self.left:
-            raise MemoryError
-        return RunsOut(int(self) + other, self.left - 1)
-
-
-def test_table_out_of_memory_gives_back_what_it_grew():
-    # The cache would otherwise stay filled to the limit that was hit, and
-    # the process could not even exit cleanly.
-    table = PFibTable(1)
-    first = table.prefix(10)
-    table._values[-1] = RunsOut(first[-1], 5)
-    with pytest.raises(MemoryError):
-        table.value(100)
-    assert table._values == first
-    table._values[-1] = first[-1]
-    assert table.value(30) == classical_fibonacci(30)
+def test_seed_is_skipped_at_huge_p():
+    # F_k = k - p on [p + 1, 2p + 2]; no step walks the p + 1 seed ones.
+    huge = 10**12
+    assert pfib(huge, huge + 4) == 4
+    assert list(islice(pfib_from(huge, huge), 4)) == [1, 1, 2, 3]
+    assert list(islice(pfib_from(10**20, 0), 3)) == [0, 1, 1]
 
 
 def test_rejects_negative_arguments():
     with pytest.raises(ValueError):
-        PFibTable(-1)
+        pfib(-1, 3)
     with pytest.raises(ValueError):
         pfib(2, -1)
     with pytest.raises(ValueError):
@@ -180,8 +167,8 @@ def test_kfold_matches_tuple_enumeration_random(p, k, m):
 
 
 def table_sums(p, last, power):
-    """sum_i (F_i F_{m-i+1})^power for m = 0 .. last, from the table."""
-    fib = pfib_table(p).prefix(last + 1)
+    """sum_i (F_i F_{m-i+1})^power for m = 0 .. last, from the recurrence."""
+    fib = plain_prefix(p, last + 1)
     return [
         sum((fib[i] * fib[m - i + 1]) ** power for i in range(1, m + 1))
         for m in range(last + 1)
@@ -222,7 +209,7 @@ def route(request, monkeypatch):
 @pytest.mark.parametrize("p", range(7))
 def test_each_route_matches_the_table(p, route):
     last = 300
-    fib = pfib_table(p).prefix(last + p + 1)
+    fib = plain_prefix(p, last + p + 1)
     edges = table_sums(p, last, 1)
     squares = table_sums(p, last, 2)
     assert pfib_terms(p, 0, last + p + 2) == fib
@@ -265,7 +252,7 @@ def test_square_sum_denominator_is_certified(p):
     ]
     assert recurrence_holds(q, table_sums(p, 3 * order - 1, 2), order)
     # Q_S alone annihilates F_i^2, after F_0 = 0 at p = 0.
-    squares = [f * f for f in pfib_table(p).prefix(3 * degree + 1)]
+    squares = [f * f for f in plain_prefix(p, 3 * degree + 1)]
     assert recurrence_holds(q_s, squares, degree + 1)
     assert recurrence_holds(edge_denominator(p), table_sums(p, 6 * p + 6, 1), 2 * p + 2)
 
@@ -278,8 +265,8 @@ def test_square_sum_denominator_of_the_classical_squares():
 
 @pytest.mark.parametrize("p", range(5))
 def test_windows_run_both_ways(p, route):
-    fib = pfib_table(p).prefix(60)
-    assert list(islice(pfib_rising(p), 60)) == fib[1:]
+    fib = plain_prefix(p, 60)
+    assert list(islice(pfib_from(p, 1), 60)) == fib[1:]
     for n in range(61):
         assert list(pfib_falling(p, n)) == fib[n:0:-1]
         assert list(direction_products(p, n)) == [
@@ -291,7 +278,7 @@ def test_windows_run_both_ways(p, route):
 def test_windows_start_lazily_at_huge_p():
     # Neither window holds p + 1 values before it reads past the seed.
     huge = 10**12
-    assert list(islice(pfib_rising(huge), 3)) == [1, 1, 1]
+    assert list(islice(pfib_from(huge, 1), 3)) == [1, 1, 1]
     assert list(islice(edges_rising(huge), 4)) == [0, 1, 2, 3]
 
 

@@ -68,6 +68,11 @@ class TestValidity:
         assert not is_pvalid(from01("1010"), 2)
         assert is_pvalid(from01("0000"), 5)
 
+    def test_huge_p_tries_at_most_n_shifts(self):
+        # A shift by n or more clears every bit; p = 10^12 shifts would hang.
+        assert is_pvalid(PString(3, 0b100), 10**12)
+        assert not is_pvalid(PString(3, 0b101), 10**12)
+
     def test_p_zero_accepts_everything(self):
         for bits in range(16):
             assert is_pvalid(PString(4, bits), 0)
