@@ -28,8 +28,8 @@ _MODULE_OF = {
         "polynomials": "BivarPoly Polynomial cube_count_closed cube_poly_closed "
         "dist_cube_count_closed dist_cube_poly_closed substitute weight_poly",
         "sequences": "binomial kfold_convolution pfib total_edges_closed",
-        "series": "DEFAULT_ORDER TruncatedSeries pfib_series rational_gf "
-        "verify_cube_count_gf verify_weight_gf_expansion",
+        "series": "DEFAULT_ORDER TruncatedSeries gf_terms pfib_series "
+        "rational_gf verify_cube_count_gf verify_weight_gf_expansion",
         "strings": "PString count_by_weight enumerate_pstrings is_pvalid "
         "max_weight weight_census",
     }.items()

@@ -230,6 +230,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .cubes import check_census_limit
+    from .series import check_series_limit
     from .strings import check_vertex_limit
     from .verify import run_suite
 
@@ -239,6 +240,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if n_max > cap:
             raise SizeLimitError(f"n range up to {n_max} exceeds the graph cap {cap}")
         check_vertex_limit(args.p[0], n_max)
+    # The series grow with p, so the largest p is the one to refuse.
+    if args.suite in ("gf", "all"):
+        check_series_limit(args.p[1])
     # Supports shrink as p grows, so the first n refused at the smallest p
     # is the first census the cubes suite would refuse.
     if args.suite in ("cubes", "all"):

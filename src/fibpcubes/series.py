@@ -3,11 +3,11 @@
 Every series checked here is num/den for two short tuples of coefficients
 in t, with den[0] the ring's one, so its coefficients obey the linear
 recurrence a_n = num_n - sum_{i>=1} den_i * a_{n-i}.  `expand` runs it and
-holds only the last deg(den) terms.  A series' ring is its coefficients'
-type: ints, Polynomials or BivarPolys, whose zero is the type called with
-no argument and whose one is that zero plus 1.  Arithmetic is exact.
-Every check here sets a series against a closed form or another series;
-none builds a graph.
+holds only the last deg(den) terms, and every check reads its streams term
+by term, so it holds O(p) ring elements; p beyond ``SERIES_LIMIT`` is
+refused first.  A series' ring is its coefficients' type: ints, Polynomials
+or BivarPolys, whose zero is the type called with no argument and whose one
+is that zero plus 1.  Arithmetic is exact.  No check here builds a graph.
 """
 
 from __future__ import annotations
@@ -17,26 +17,21 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Any, Iterator, Sequence
 
+from .errors import SizeLimitError
 from .polynomials import MARKERS, Polynomial, cube_count_closed
 from .sequences import pfib_prefix
 
 DEFAULT_ORDER = 20
 
+# Largest p: the gf suite takes about 1 s and 30 MB there, linear in p.
+SERIES_LIMIT = 1 << 16
+
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Power series in t with exactly order+1 stored coefficients."""
+    """Power series in t: its coefficients of t^0 .. t^order, stored."""
 
     coeffs: tuple[Any, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Any:
-        if not 0 <= k <= self.order:
-            raise ValueError(f"order {k} outside the truncation [0, {self.order}]")
-        return self.coeffs[k]
 
 
 def expand(num: Sequence[Any], den: Sequence[Any], order: int) -> Iterator[Any]:
@@ -66,6 +61,12 @@ def pfib_series(p: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(tuple(pfib_prefix(p, order)))
 
 
+def check_series_limit(p: int) -> None:
+    """Refuse with SizeLimitError a p beyond SERIES_LIMIT."""
+    if p > SERIES_LIMIT:
+        raise SizeLimitError(f"p = {p} exceeds the series limit {SERIES_LIMIT}")
+
+
 def gap_denominator(marker: Any, p: int) -> TruncatedSeries:
     """The p + 2 coefficients of 1 - t - marker * t^{p+1}.
 
@@ -73,32 +74,31 @@ def gap_denominator(marker: Any, p: int) -> TruncatedSeries:
     """
     if p < 0:
         raise ValueError(f"p must be non-negative, got {p}")
+    check_series_limit(p)
     zero = type(marker)()
     vals = [zero + 1, zero - 1] + [zero] * p
     vals[p + 1] = vals[p + 1] - marker
     return TruncatedSeries(tuple(vals))
 
 
-def _marked_terms(marker: Any, p: int, order: int) -> Iterator[Any]:
-    # (1 + marker*t + ... + marker*t^p) / (1 - t - marker*t^{p+1})
-    numerator = [type(marker)() + 1] + [marker] * p
-    return expand(numerator, gap_denominator(marker, p).coeffs, order)
+def gf_terms(p: int, kind: str, order: int = DEFAULT_ORDER) -> Iterator[Any]:
+    """Yield the t^0 .. t^order coefficients of one MARKERS kind's series.
 
-
-def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """The rational generating function of one MARKERS kind, truncated at order.
-
-    The t^n coefficient is the cube polynomial, the weight enumerator, or
-    the bivariate distance refinement of the (p, n) graph, depending on
-    the kind's marker on each 1.
+    With m the kind's marker on each 1, the series is (1 + m*t + ... +
+    m*t^p) / (1 - t - m*t^{p+1}), and its t^n coefficient is the (p, n)
+    graph's cube polynomial, weight enumerator, or distance refinement.
     """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
     try:
         marker = MARKERS[kind]
     except KeyError:
         raise ValueError(f"unknown generating function kind {kind!r}") from None
-    return TruncatedSeries(tuple(_marked_terms(marker, p, order)))
+    den = gap_denominator(marker, p).coeffs
+    return expand([den[0]] + [marker] * p, den, order)
+
+
+def rational_gf(p: int, kind: str, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """The series of `gf_terms`, stored whole."""
+    return TruncatedSeries(tuple(gf_terms(p, kind, order)))
 
 
 def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
@@ -108,14 +108,12 @@ def verify_weight_gf_expansion(p: int, order: int = DEFAULT_ORDER) -> bool:
     must satisfy t^p * S = 1/(1 - t - y*t^{p+1}) - (1 + t + ... + t^{p-1}).
     Both sides are expanded independently and compared term by term.
     """
-    if p < 0:
-        raise ValueError(f"p must be non-negative, got {p}")
     y = MARKERS["weight"]
     one = Polynomial.one()
     reciprocal = expand([one], gap_denominator(y, p).coeffs, order + p)
     if any(c != one for c in islice(reciprocal, p)):
         return False
-    return all(a == b for a, b in zip(_marked_terms(y, p, order), reciprocal))
+    return all(a == b for a, b in zip(gf_terms(p, "weight", order), reciprocal))
 
 
 def verify_cube_count_gf(p: int, k: int, order: int = DEFAULT_ORDER) -> bool:

@@ -417,6 +417,16 @@ class TestSizeLimits:
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith("7/7 checks passed\n")
 
+    @pytest.mark.parametrize("suite", ["gf", "all"])
+    @pytest.mark.parametrize("p", [TRILLION, "100000000000000000000"])
+    def test_series_at_huge_p_refused(self, suite, p):
+        # The gap denominator and the numerator hold p + 2 ring elements.
+        done = run_limited("verify", suite, "--p", p, "--n", "0..5", "--cap", "5",
+                           "--N", "5")
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == f"error: p = {p} exceeds the series limit 65536\n"
+
     @pytest.mark.parametrize(
         "p, n, supports", [("0", "14", 3**14), ("1", "24", 22369621)]
     )

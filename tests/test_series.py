@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibpcubes.errors import SizeLimitError
 from fibpcubes.polynomials import (
     MARKERS,
     BivarPoly,
@@ -16,14 +17,16 @@ from fibpcubes.polynomials import (
 )
 from fibpcubes.sequences import pfib
 from fibpcubes.series import (
-    TruncatedSeries,
+    SERIES_LIMIT,
     expand,
     gap_denominator,
+    gf_terms,
     pfib_series,
     rational_gf,
     verify_cube_count_gf,
     verify_weight_gf_expansion,
 )
+from fibpcubes.verify import run_suite
 
 
 def series(num, den, order):
@@ -37,14 +40,6 @@ class TestArithmetic:
     def test_numerator_pads_and_truncates(self):
         assert series([1, 2], [1], 4) == [1, 2, 0, 0, 0]
         assert series([1, 2, 3, 4], [1], 1) == [1, 2]
-
-    def test_coeff_bounds(self):
-        s = TruncatedSeries((1, 2, 3, 4))
-        assert (s.order, s.coeff(3)) == (3, 4)
-        with pytest.raises(ValueError):
-            s.coeff(4)
-        with pytest.raises(ValueError):
-            s.coeff(-1)
 
     @given(st.lists(st.integers(-9, 9), max_size=7), unit_dens, st.integers(0, 12))
     def test_denominator_times_expansion_is_numerator(self, num, den, order):
@@ -82,15 +77,15 @@ class TestSequenceSeries:
 
     def test_coefficients(self):
         s = pfib_series(2, 10)
-        assert [s.coeff(i) for i in range(7)] == [pfib(2, i) for i in range(7)]
+        assert list(s.coeffs[:7]) == [pfib(2, i) for i in range(7)]
 
 
 class TestRationalGF:
     def test_cube_coefficient(self):
-        assert rational_gf(1, "cube", 3).coeff(3) == cube_poly_closed(1, 3)
+        assert rational_gf(1, "cube", 3).coeffs[3] == cube_poly_closed(1, 3)
 
     def test_weight_coefficient(self):
-        assert rational_gf(2, "weight", 4).coeff(4) == weight_poly(2, 4)
+        assert rational_gf(2, "weight", 4).coeffs[4] == weight_poly(2, 4)
 
     def test_constant_term_is_one(self):
         for kind, ring_one in (
@@ -98,8 +93,8 @@ class TestRationalGF:
             ("weight", Polynomial.one()),
         ):
             for p in range(4):
-                assert rational_gf(p, kind, 6).coeff(0) == ring_one
-        assert rational_gf(2, "distance", 6).coeff(0) == BivarPoly.one()
+                assert next(gf_terms(p, kind, 6)) == ring_one
+        assert next(gf_terms(2, "distance", 6)) == BivarPoly.one()
 
     def test_ring_is_the_coefficient_type(self):
         for p in range(4):
@@ -113,20 +108,24 @@ class TestRationalGF:
             assert {type(c) for c in pfib_series(p, 12).coeffs} == {int}
 
     def test_matches_closed_polynomials(self):
+        closed = {
+            "cube": cube_poly_closed,
+            "weight": weight_poly,
+            "distance": dist_cube_poly_closed,
+        }
         for p in range(4):
-            cube_gf = rational_gf(p, "cube", 12)
-            weight_gf = rational_gf(p, "weight", 12)
-            distance_gf = rational_gf(p, "distance", 12)
-            for n in range(13):
-                assert cube_gf.coeff(n) == cube_poly_closed(p, n)
-                assert weight_gf.coeff(n) == weight_poly(p, n)
-                assert distance_gf.coeff(n) == dist_cube_poly_closed(p, n)
+            for kind, poly in closed.items():
+                terms = list(gf_terms(p, kind, 12))
+                assert terms == [poly(p, n) for n in range(13)]
+                assert rational_gf(p, kind, 12).coeffs == tuple(terms)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            rational_gf(1, "nope", 5)
-        with pytest.raises(ValueError):
-            rational_gf(-1, "cube", 5)
+        # refused when the stream is asked for, before its first term
+        for make in (gf_terms, rational_gf):
+            with pytest.raises(ValueError):
+                make(1, "nope", 5)
+            with pytest.raises(ValueError):
+                make(-1, "cube", 5)
 
 
 class TestIdentityChecks:
@@ -137,10 +136,8 @@ class TestIdentityChecks:
     def test_weight_gf_expansion_degenerate_case(self):
         # p = 0 collapses to the geometric series in (1 + y) t
         assert verify_weight_gf_expansion(0, 10)
-        marked = rational_gf(0, "weight", 8)
         one_plus_y = Polynomial.from_coeffs([1, 1])
-        for n in range(9):
-            assert marked.coeff(n) == one_plus_y**n
+        assert list(gf_terms(0, "weight", 8)) == [one_plus_y**n for n in range(9)]
 
     def test_cube_count_gf(self):
         assert verify_cube_count_gf(1, 1, 12)
@@ -168,6 +165,19 @@ class TestIdentityChecks:
                 verify_cube_count_gf(-1, k, 5)
         with pytest.raises(ValueError):
             verify_weight_gf_expansion(-1, 5)
+
+    def test_refuses_p_beyond_the_series_limit(self):
+        # before the p + 2 denominator terms are made
+        p = SERIES_LIMIT + 1
+        for check in (
+            lambda: gap_denominator(1, p),
+            lambda: gf_terms(p, "distance", 5),
+            lambda: verify_weight_gf_expansion(p, 5),
+            lambda: verify_cube_count_gf(p, 2, 5),
+            lambda: run_suite("gf", [p], range(1), order=5),
+        ):
+            with pytest.raises(SizeLimitError, match=f"p = {p} exceeds"):
+                check()
 
 
 def traced_peak(check, *args):
@@ -205,3 +215,15 @@ def test_checks_hold_a_window_not_the_series(check, args, largest):
     order = 256
     grown = traced_peak(check, *args, order) - traced_peak(check, *args, order // 2)
     assert grown < order // 8 * held_bytes(lambda: largest(order)), grown
+
+
+def test_gf_suite_streams_its_series():
+    # Stored, the distance series at p = 0 holds about N^3/6 big ints, and
+    # the suite's peak grows about 7 times from order 48 to 96 (9.5 times
+    # from 128 to 256).  Each coefficient is dropped once it is checked, so
+    # only the closed forms at one n and a window of terms are held: about
+    # 3 times (4 times from 128 to 256, where the test would take 26 s).
+    def suite(order):
+        return all(r.passed for r in run_suite("gf", [0], range(1), order=order))
+
+    assert traced_peak(suite, 96) < 5 * traced_peak(suite, 48)

@@ -39,6 +39,11 @@ def bump_last_coefficient(series):
     return TruncatedSeries(series.coeffs[:-1] + (series.coeffs[-1] + 1,))
 
 
+def bump_last_term(terms):
+    *head, last = terms
+    return iter((*head, last + 1))
+
+
 def bump_first_coefficient(series):
     # the last one would not do for the denominator: it meets F_0 = 0
     return TruncatedSeries((series.coeffs[0] + 1,) + series.coeffs[1:])
@@ -64,7 +69,7 @@ def bump_first_coefficient(series):
         ("mostar_closed", plus_one, "indices/mostar"),
         ("irregularity_closed", plus_one, "irregularity/closed-form"),
         ("total_edges_closed", plus_one, "irregularity/pair-set-sizes"),
-        ("rational_gf", bump_last_coefficient, "gf/identities"),
+        ("gf_terms", bump_last_term, "gf/identities"),
         ("cube_poly_closed", plus_one, "gf/identities"),
         ("weight_poly", plus_one, "gf/identities"),
         ("dist_cube_poly_closed", plus_one, "gf/identities"),
@@ -90,6 +95,27 @@ def test_broken_closed_form_fails_its_check(
     code = cli.main(["verify", suite, "--p", "1", "--n", "0..4", "--N", "6"])
     assert code == 1
     assert f"FAIL {check} p=1: " in capsys.readouterr().out
+
+
+def test_gf_stops_at_its_first_mismatch(monkeypatch, capsys):
+    # The cube closed form is wrong at n = 3 alone; the comparison stops
+    # there, and no closed form past it is asked for.
+    asked = []
+    original = verify.cube_poly_closed
+
+    def wrong_at_three(p, n):
+        asked.append(n)
+        closed = original(p, n)
+        return closed + 1 if n == 3 else closed
+
+    monkeypatch.setattr(verify, "cube_poly_closed", wrong_at_three)
+    code = cli.main(["verify", "gf", "--p", "1", "--N", "6"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "FAIL gf/identities p=1: p=1 n=3: cube gf gives 5 + 5*x + x^2, "
+        "closed form 6 + 5*x + x^2\n0/1 checks passed\n"
+    )
+    assert asked == [0, 1, 2, 3]
 
 
 def mirror_off_by_one(row):
