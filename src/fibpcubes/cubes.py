@@ -16,8 +16,7 @@ before any graph exists, and refuses a length where that exceeds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import SizeLimitError
 from .graph import PCubeGraph, bitset_ids, direction_shifts
@@ -28,8 +27,7 @@ from .strings import PString, weight_census
 CENSUS_LIMIT = 1 << 21
 
 
-@dataclass(frozen=True)
-class InducedCube:
+class InducedCube(NamedTuple):
     """One induced hypercube, characterized by (top, support)."""
 
     top: PString

@@ -23,7 +23,6 @@ than ``SWEEP_LIMIT`` vertices before it allocates any ball.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -40,17 +39,34 @@ Edge = tuple[int, int, int]
 SWEEP_LIMIT = 1 << 14
 
 
-@dataclass
 class PCubeGraph:
-    """Packed vertices and per-direction edge bitsets; treat as immutable once built."""
+    """Packed vertices and per-direction edge bitsets; treat as immutable once built.
 
-    p: int
-    n: int
-    bits: list[int]  # packed strings; a vertex id is a position here
-    index: dict[int, int]  # packed bits -> vertex id
-    # lows[i] maps each id offset hi - lo of the direction-i edges to the
-    # bitset of their lower-endpoint ids; slot 0 is empty, directions are 1-based
-    lows: list[dict[int, int]]
+    Two graphs are equal when their five fields are; a graph is unhashable.
+    """
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        bits: list[int],
+        index: dict[int, int],
+        lows: list[dict[int, int]],
+    ) -> None:
+        self.p = p
+        self.n = n
+        self.bits = bits  # packed strings; a vertex id is a position here
+        self.index = index  # packed bits -> vertex id
+        # lows[i] maps each id offset hi - lo of the direction-i edges to the
+        # bitset of their lower-endpoint ids; slot 0 is empty, directions are 1-based
+        self.lows = lows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.n, self.bits, self.index, self.lows) == (
+            other.p, other.n, other.bits, other.index, other.lows
+        )
 
     @property
     def vertex_count(self) -> int:
@@ -95,7 +111,7 @@ class PCubeGraph:
         vertex at distance d lies outside d balls, so in a connected graph
         the sums are the distance sums.  Also returns the ordered pairs left
         apart, 0 exactly when the graph is connected.  Swept once per graph
-        object: a ``dataclasses.replace`` copy sweeps its own edges.
+        object: a copy built from changed fields sweeps its own edges.
         """
         order = self.vertex_count
         check_sweep_limit(order)

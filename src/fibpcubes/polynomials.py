@@ -16,7 +16,6 @@ large polynomial need never exist whole.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Union
@@ -56,6 +55,8 @@ class RingElement:
     NotImplemented for anything that is neither the kind nor an int.  It
     also supplies ``_ordered_terms``, its (k, d, c) in the order of its text.
     """
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "RingElement":
@@ -108,15 +109,29 @@ class RingElement:
         return "".join(self.pieces())
 
 
-@dataclass(frozen=True)
 class Polynomial(RingElement):
-    """Dense integer polynomial; coeffs[k] multiplies x^k, no trailing zeros."""
+    """Dense integer polynomial; coeffs[k] multiplies x^k, no trailing zeros.
 
-    coeffs: tuple[int, ...] = ()
+    A value: == and hash read the coefficients.
+    """
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...] = ()) -> None:
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing zero coefficient; use from_coeffs")
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.coeffs!r})"
 
     @staticmethod
     def from_coeffs(values: Iterable[int]) -> "Polynomial":
@@ -206,15 +221,29 @@ def _term_pieces(terms: Iterable[tuple[int, int, int]]) -> Iterator[str]:
         yield "0"
 
 
-@dataclass(frozen=True)
 class BivarPoly(RingElement):
     """Dense integer polynomial in x and q; rows[d][k] multiplies x^k q^d.
 
     Canonical: no row ends in 0 and the last row is not empty, as
-    ``from_dict`` and every operator leave them, so == and hash are exact.
+    ``from_dict`` and every operator leave them, so == and hash, which read
+    the rows, are exact.
     """
 
-    rows: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...] = ()) -> None:
+        self.rows = rows
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"BivarPoly({self.rows!r})"
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "BivarPoly":

@@ -13,9 +13,8 @@ is that zero plus 1.  Arithmetic is exact.  No check here builds a graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .errors import SizeLimitError
 from .polynomials import MARKERS, Polynomial, cube_count_closed
@@ -27,8 +26,7 @@ DEFAULT_ORDER = 20
 SERIES_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Power series in t: its coefficients of t^0 .. t^order, stored."""
 
     coeffs: tuple[Any, ...]

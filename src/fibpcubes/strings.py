@@ -17,7 +17,7 @@ known in closed form before any string is made, exceeds ``MAX_VERTICES``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterator
 
 from .errors import SizeLimitError
@@ -28,18 +28,35 @@ from .sequences import binomial
 MAX_VERTICES = 1 << 18
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class PString:
-    """A fixed-length binary string; bits packs u_1 ... u_n MSB-first."""
+    """A fixed-length binary string; bits packs u_1 ... u_n MSB-first.
 
-    n: int
-    bits: int
+    A value: == and hash read (n, bits), and strings order by (n, bits).
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"length must be non-negative, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for length {self.n}")
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 0:
+            raise ValueError(f"length must be non-negative, got {n}")
+        if not 0 <= bits < (1 << n):
+            raise ValueError(f"bits 0x{bits:x} out of range for length {n}")
+        self.n = n
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bits) == (other.n, other.bits)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bits) < (other.n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
 
     def to01(self) -> str:
         return format(self.bits, f"0{self.n}b") if self.n else ""

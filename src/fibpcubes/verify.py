@@ -14,10 +14,9 @@ oracle beyond the sweep limit leaves a note on each check it skipped.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cubes import cube_census
 from .errors import SizeLimitError
@@ -79,8 +78,7 @@ PerCheck = dict[str, list[str]]
 PointGraph = Callable[[], PCubeGraph]  # built on the first call only
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 from itertools import combinations
 from types import SimpleNamespace
@@ -6,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from fibpcubes.cubes import cube_census
-from fibpcubes.graph import build
+from fibpcubes.graph import PCubeGraph, build
 from fibpcubes.sequences import binomial
 from fibpcubes.strings import PString, enumerate_pstrings, max_weight
 
@@ -19,6 +18,12 @@ def from01(text):
 def ones(u):
     """The coordinates where a PString carries a 1, ascending and 1-based."""
     return tuple(i for i in range(1, u.n + 1) if (u.bits >> (u.n - i)) & 1)
+
+
+def graph_with(g, **changes):
+    """A new PCubeGraph from the five fields of g, with the given ones changed."""
+    fields = {"p": g.p, "n": g.n, "bits": g.bits, "index": g.index, "lows": g.lows}
+    return PCubeGraph(**{**fields, **changes})
 
 
 def as_dict(poly):
@@ -58,7 +63,7 @@ def drop_edge():
         lows[i][offset] ^= 1 << lo
         if not lows[i][offset]:
             del lows[i][offset]
-        return dataclasses.replace(g, lows=lows)
+        return graph_with(g, lows=lows)
 
     return _drop
 
@@ -142,9 +147,8 @@ def swap_vertices():
         for lo, hi, i in g.edges:
             offset = new[hi] - new[lo]
             lows[i][offset] = lows[i].get(offset, 0) | 1 << new[lo]
-        return dataclasses.replace(
-            g, bits=bits, index={u: v for v, u in enumerate(bits)}, lows=lows
-        )
+        index = {u: v for v, u in enumerate(bits)}
+        return graph_with(g, bits=bits, index=index, lows=lows)
 
     return _swap
 

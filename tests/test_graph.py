@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from fibpcubes.graph import (
 )
 from fibpcubes.sequences import pfib, square_sum_closed
 
-from conftest import from01
+from conftest import from01, graph_with
 
 
 def edge_labels(g):
@@ -76,6 +77,19 @@ def test_build_records_offsets_as_found(monkeypatch, built, swap_vertices):
     refusal = r"^direction 1 edges have id offsets \[12, 13, 14\]$"
     with pytest.raises(ValueError, match=refusal):
         graph.direction_shifts(g)
+
+
+def test_graphs_are_equal_field_by_field(drop_edge):
+    g, h = build(1, 4), build(1, 4)
+    h.edges  # a cached view is no field
+    assert g == h and g is not h
+    lows = drop_edge(g, h.edges[0]).lows
+    changed = {"p": 2, "n": 5, "bits": g.bits[::-1], "index": {}, "lows": lows}
+    for field, value in changed.items():
+        assert graph_with(g, **{field: value}) != g, field
+    assert g != SimpleNamespace(**vars(build(1, 4)))  # only a PCubeGraph equals one
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
 
 
 def test_cube_suite_reads_no_view(monkeypatch):

@@ -80,8 +80,18 @@ class TestPolynomial:
     def test_canonical_form(self):
         assert Polynomial.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
         assert Polynomial.from_coeffs([0, 0]).coeffs == ()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trailing zero coefficient"):
             Polynomial((1, 0))
+
+    def test_value_semantics(self):
+        f = Polynomial((1, 2))
+        assert f == Polynomial.from_coeffs([1, 2, 0])
+        assert hash(f) == hash(Polynomial((1, 2)))
+        assert f != Polynomial((1, 3)) and f != Polynomial((1, 2, 1))
+        # only a Polynomial equals a Polynomial
+        assert f != (1, 2) and Polynomial.const(3) != 3
+        assert Polynomial.const(3) != BivarPoly.const(3)
+        assert len({f, Polynomial((1, 2)), Polynomial((2, 1))}) == 2
 
     def test_degree_sentinel(self):
         assert Polynomial.zero().degree() == NEG_INF
@@ -135,6 +145,15 @@ class TestPolynomial:
 
 
 class TestBivarPoly:
+    def test_value_semantics(self):
+        f = BivarPoly(((1, 0, 3), (0, 2)))  # 1 + 3*x^2 + 2*x*q
+        assert f == BivarPoly.from_dict({(0, 0): 1, (2, 0): 3, (1, 1): 2, (3, 1): 0})
+        assert hash(f) == hash(BivarPoly(((1, 0, 3), (0, 2))))
+        assert f != BivarPoly(((1, 0, 3), (0, 3))) and f != BivarPoly(((1, 0, 3),))
+        # only a BivarPoly equals a BivarPoly
+        assert f != ((1, 0, 3), (0, 2)) and BivarPoly.const(1) != Polynomial.const(1)
+        assert len({f, f.swap().swap(), f.swap()}) == 2
+
     def test_construction(self):
         assert BivarPoly.from_dict({(1, 0): 0}).terms == ()
 

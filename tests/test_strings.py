@@ -50,12 +50,27 @@ class TestPString:
         texts = ["0011", "1100", "0000", "0101"]
         strings = sorted(from01(t) for t in texts)
         assert [s.to01() for s in strings] == sorted(texts)
+        # length first, then bits; every comparison, and only between PStrings
+        assert from01("1") < from01("00") and from01("00") > from01("1")
+        assert from01("01") <= from01("01") < from01("10") >= from01("10")
+        with pytest.raises(TypeError):
+            from01("01") < (2, 2)
+
+    def test_value_semantics(self):
+        u = PString(4, 0b0101)
+        assert u == from01("0101") and hash(u) == hash(from01("0101"))
+        assert u != PString(4, 0b0110) and u != PString(5, 0b0101)
+        assert u != (4, 0b0101)  # only a PString equals a PString
+        assert len({u, from01("0101"), from01("00101")}) == 2
+        assert repr(u) == "PString('0101')" and repr(from01("")) == "PString('')"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length must be non-negative, got -1"):
             PString(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bits 0x4 out of range for length 2"):
             PString(2, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            PString(2, -1)
         with pytest.raises(ValueError):
             from01("10").bit(3)
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 """Fault injection: every closed form, and every graph a check examines,
 broken on purpose, makes that check fail."""
 
-import dataclasses
 import decimal
 import functools
 
@@ -10,6 +9,8 @@ import pytest
 from fibpcubes import cli, graph, invariants, sequences, verify
 from fibpcubes.series import TruncatedSeries
 from fibpcubes.verify import CheckResult
+
+from conftest import graph_with
 
 
 def plus_one(value):
@@ -47,6 +48,11 @@ def bump_last_term(terms):
 def bump_first_coefficient(series):
     # the last one would not do for the denominator: it meets F_0 = 0
     return TruncatedSeries((series.coeffs[0] + 1,) + series.coeffs[1:])
+
+
+def test_check_result_detail_defaults_to_empty():
+    result = CheckResult("counts/order p=1", True)
+    assert result.detail == "" and result == CheckResult("counts/order p=1", True, "")
 
 
 @pytest.mark.parametrize(
@@ -353,7 +359,7 @@ def test_projection_refusal_fails_a_check(monkeypatch, capsys, drop_edge):
     def faulty_build(p, m, **kwargs):
         if m != 5:
             return build(p, m, **kwargs)
-        g = dataclasses.replace(build(1, m, **kwargs), p=2)
+        g = graph_with(build(1, m, **kwargs), p=2)
         return drop_edge(g, (g.index[0b10000], g.index[0b10100], 3))
 
     monkeypatch.setattr(verify, "build", faulty_build)
@@ -396,7 +402,7 @@ def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge):
     "fault, detail",
     [
         (lambda g, swap: swap(g, 1, 2), "p=1 n=6: vertex ids do not follow string order"),
-        (lambda g, swap: dataclasses.replace(g, p=2), "p=2 n=6: a vertex is not 2-valid"),
+        (lambda g, swap: graph_with(g, p=2), "p=2 n=6: a vertex is not 2-valid"),
     ],
     ids=["swapped-ids", "invalid-vertex"],
 )
