@@ -4,16 +4,19 @@ Exit codes: 0 all good, 1 verification mismatch, 2 usage error, 3 size
 limit exceeded or out of memory, 141 stdout closed by its reader (128 +
 SIGPIPE).  The only bound on n is the ``--cap`` option of the commands that
 build graphs; the vertex, cube-census and distance-sweep limits belong to
-the modules that allocate the memory.  JSON payloads carry every number
-as a decimal string so that 64-bit consumers cannot silently overflow.
-Every command computes its scalars before the first byte, so a refused
-request writes nothing; then it writes the answer piece by piece.  The
-rows that ``count`` and ``indices`` print, the weight census and the
-per-direction edge counts, stream from their recurrences entry by entry,
-on exact decimals (``sequences.decimal_text``), whose text takes time
-linear in its digits where an int's is quadratic; the checks compare the
-int rows.  Each command imports the layers it runs when it runs, so a
-fresh process loads no more than its command needs.
+the modules that allocate the memory.  Commands hand their JSON answers
+to one writer as plain dicts, lists, ints and generators; the writer, not
+each command, makes every number a decimal string, so that 64-bit
+consumers cannot silently overflow.  Every command computes its scalars
+before the first byte, so a refused request writes nothing; then it
+writes the answer piece by piece.  The rows that ``count`` and ``indices``
+print, the weight census and the per-direction edge counts, stream from
+their recurrences entry by entry, on exact decimals
+(``sequences.decimal_text``), whose text takes time linear in its digits
+where an int's is quadratic; the checks compare the int rows.  ``export``
+writes its graph the same way, so no whole payload is ever built.  Each
+command imports the layers it runs when it runs, so a fresh process loads
+no more than its command needs.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache, partial
-from typing import Iterator
+from functools import cache
+from typing import TextIO
 
 from .errors import SizeLimitError
 
@@ -135,22 +138,26 @@ def _count_points(args: argparse.Namespace) -> list[tuple[int, ...]]:
     ]
 
 
-def _write_json(doc: "dict | list") -> None:
-    """Write ``json.dump(doc, indent=2)`` and a newline, piece by piece.
+def _write_json(doc: object, out: "TextIO | None" = None) -> None:
+    """Write ``doc`` as ``json.dump(doc, indent=2)`` would, and a newline,
+    to ``out`` (stdout by default), piece by piece.
 
-    A list is written entry by entry as it is walked, so a ``LazyList`` row
-    is made, written and dropped one entry at a time, as are the items of a
-    ``LazyDict``.  A row's strings are number text, which needs no escape,
-    so they are quoted as they are.
+    This is the one place that knows the JSON format.  Every int but a
+    bool is written as its quoted decimal string.  None, the bools,
+    strings, dicts, lists and tuples are written as ``json.dump`` writes
+    them.  Any other iterable is an array, written entry by entry as it is
+    walked, so a generator row is made, written and dropped one entry at a
+    time.  Such a row's strings are number text or 0/1 text, which needs
+    no escape, so they are quoted as they are.
     """
-    import json
     from json.encoder import encode_basestring_ascii as escape
 
-    from .sequences import LazyList
+    literals = {None: "null", True: "true", False: "false"}
 
-    def write(container: "dict | list", newline: str) -> None:
+    def write(container: object, newline: str) -> None:
         inner = newline + "  "
-        keyed, row = isinstance(container, dict), isinstance(container, LazyList)
+        keyed = isinstance(container, dict)
+        walked = not keyed and not isinstance(container, (list, tuple))
         brackets = "{}" if keyed else "[]"
         opener = brackets[0] + inner
         # no generator of its own: the walk holds only what the container makes
@@ -158,21 +165,21 @@ def _write_json(doc: "dict | list") -> None:
             if keyed:
                 key, item = item
                 opener += escape(key) + ": "
-            if row and isinstance(item, str):
-                out.write(f'{opener}"{item}"')
+            if item is None or item.__class__ is bool:
+                put(opener + literals[item])
+            elif isinstance(item, int) or walked and isinstance(item, str):
+                put(f'{opener}"{item}"')
             elif isinstance(item, str):
-                out.write(opener + escape(item))
-            elif isinstance(item, (dict, list, tuple)):
-                out.write(opener)
+                put(opener + escape(item))
+            else:  # a dict, a list, a tuple or another iterable
+                put(opener)
                 write(item, inner)
-            else:  # None, a bool or an int
-                out.write(opener + json.dumps(item))
             opener = "," + inner
-        out.write(newline + brackets[1] if opener[0] == "," else brackets)
+        put(newline + brackets[1] if opener[0] == "," else brackets)
 
-    out = sys.stdout
+    put = (sys.stdout if out is None else out).write
     write(doc, "\n")
-    out.write("\n")
+    put("\n")
 
 
 _COUNT_KEYS = ("p", "n", "vertices", "edges", "max_weight")
@@ -183,26 +190,19 @@ _COUNT_LINES = {
 }
 
 
-def _count_doc(point: tuple[int, ...]) -> dict:
-    """A count point's JSON object; each scalar's text is made as it is written."""
-    from .sequences import LazyDict, LazyList, decimal_text
-    from .strings import weight_row
-
-    def items() -> Iterator[tuple[str, object]]:
-        yield from zip(_COUNT_KEYS, map(str, point))
-        row = partial(decimal_text, weight_row, *point[:2])
-        yield "weight_census", LazyList(row, point[-1] + 1)
-
-    return LazyDict(items, len(_COUNT_KEYS) + 1)
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    from .sequences import LazyList, decimal_text
+    from .sequences import decimal_text
     from .strings import weight_row
 
     points = _count_points(args)
     if args.format == "json":  # each point is made when the writer reaches it
-        _write_json(LazyList(partial(map, _count_doc, points), len(points)))
+        _write_json(
+            {
+                **dict(zip(_COUNT_KEYS, point)),
+                "weight_census": decimal_text(weight_row, *point[:2]),
+            }
+            for point in points
+        )
         return EXIT_OK
     header, line, sep = _COUNT_LINES[args.format]
     out = sys.stdout
@@ -221,7 +221,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     p, n, kind = args.p, args.n, args.kind
     poly = getattr(polynomials, polynomials.CLOSED_POLY[kind])(p, n)
     if args.format == "json":
-        _write_json({"p": str(p), "n": str(n), "kind": kind, **poly.to_json()})
+        _write_json({"p": p, "n": n, "kind": kind, **poly.to_json()})
     else:  # term by term, so the whole text never exists at once
         sys.stdout.writelines(poly.pieces())
         sys.stdout.write("\n")
@@ -269,21 +269,22 @@ def cmd_export(args: argparse.Namespace) -> int:
     from .graph import build, graph_json, to_dot
 
     g = build(args.p, args.n, cap=args.cap)
-    if args.format == "json":
-        import json
 
-        payload = json.dumps(graph_json(g), indent=2) + "\n"
-    else:
-        payload = to_dot(g)
+    def render(out: TextIO) -> None:
+        if args.format == "json":
+            _write_json(graph_json(g), out)
+        else:
+            out.writelines(to_dot(g))
+
     if args.output == "-":
-        sys.stdout.write(payload)
-    else:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        except OSError as exc:  # a missing directory, a directory, no permission
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        render(sys.stdout)
+        return EXIT_OK
+    try:  # opened only once the graph is built, so a refusal makes no file
+        with open(args.output, "w", encoding="utf-8") as handle:
+            render(handle)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -299,7 +300,6 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         wiener_oracle,
     )
     from .sequences import (
-        LazyList,
         decimal_text,
         direction_products,
         pfib_terms,
@@ -308,32 +308,32 @@ def _indices_doc(args: argparse.Namespace) -> dict:
 
     p, n = args.p, args.n
     doc: dict = {
-        "p": str(p),
-        "n": str(n),
-        "vertices": str(pfib_terms(p, n + p + 1)[0]),
-        "edges": str(total_edges_closed(p, n)),
-        "wiener": {"closed": str(wiener_closed(p, n)), "oracle": None},
-        "mostar": {"closed": str(mostar_closed(p, n)), "oracle": None},
+        "p": p,
+        "n": n,
+        "vertices": pfib_terms(p, n + p + 1)[0],
+        "edges": total_edges_closed(p, n),
+        "wiener": {"closed": wiener_closed(p, n), "oracle": None},
+        "mostar": {"closed": mostar_closed(p, n), "oracle": None},
         "irregularity": {
-            "closed": str(irregularity_closed(p, n)) if n >= p else None,
+            "closed": irregularity_closed(p, n) if n >= p else None,
             "oracle": None,
             "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
         },
     }
     g = build(p, n) if n <= args.cap else None
     if g is not None:
-        doc["irregularity"]["oracle"] = str(irregularity_oracle(g))
+        doc["irregularity"]["oracle"] = irregularity_oracle(g)
         try:  # beyond the sweep limit the distance oracles stay null
-            doc["wiener"]["oracle"] = str(wiener_oracle(g))
-            doc["mostar"]["oracle"] = str(mostar_oracle(g))
+            doc["wiener"]["oracle"] = wiener_oracle(g)
+            doc["mostar"]["oracle"] = mostar_oracle(g)
         except SizeLimitError:
             pass
     if args.format == "json":
         doc["edge_counts_by_direction"] = {
-            "closed": LazyList(partial(decimal_text, direction_products, p, n), n),
+            "closed": decimal_text(direction_products, p, n),
             "oracle": None
             if g is None
-            else [str(direction_edge_count(g, i)) for i in range(1, n + 1)],
+            else [direction_edge_count(g, i) for i in range(1, n + 1)],
         }
     return doc
 

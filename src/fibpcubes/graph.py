@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import compress
+from typing import Iterator
 
 from .errors import SizeLimitError
 from .sequences import direction_products, pfib
@@ -229,30 +230,23 @@ def bfs_distances(g: PCubeGraph, source: int) -> list[int]:
     return dist
 
 
-def _label(v: PString) -> str:
-    return v.to01() or "λ"
-
-
-def to_dot(g: PCubeGraph) -> str:
-    """DOT rendering with bit-string vertex labels, deterministic order."""
-    lines = [f"graph pcube_p{g.p}_n{g.n} {{"]
-    for v in g.vertices:
-        lines.append(f'  "{_label(v)}";')
+def to_dot(g: PCubeGraph) -> Iterator[str]:
+    """DOT text, line by line, with bit-string vertex labels, in a fixed order."""
+    labels = [f'"{v.to01() or "λ"}"' for v in g.vertices]  # each made once
+    yield f"graph pcube_p{g.p}_n{g.n} {{\n"
+    for label in labels:
+        yield f"  {label};\n"
     for lo, hi, _ in g.edges:
-        lines.append(f'  "{_label(g.vertices[lo])}" -- "{_label(g.vertices[hi])}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {labels[lo]} -- {labels[hi]};\n"
+    yield "}\n"
 
 
 def graph_json(g: PCubeGraph) -> dict:
-    """Adjacency-list document; every number is a decimal string."""
+    """Adjacency-list document for the JSON writer, which quotes every number."""
     return {
-        "p": str(g.p),
-        "n": str(g.n),
-        "vertices": [v.to01() for v in g.vertices],
-        "adjacency": [[str(w) for w in nbrs] for nbrs in g.adjacency],
-        "edges": [
-            {"lo": str(lo), "hi": str(hi), "direction": str(d)}
-            for lo, hi, d in g.edges
-        ],
+        "p": g.p,
+        "n": g.n,
+        "vertices": (v.to01() for v in g.vertices),
+        "adjacency": g.adjacency,
+        "edges": ({"lo": lo, "hi": hi, "direction": d} for lo, hi, d in g.edges),
     }

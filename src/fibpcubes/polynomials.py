@@ -16,11 +16,10 @@ large polynomial need never exist whole.
 from __future__ import annotations
 
 import operator
-from functools import partial
 from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping, Union
 
-from .sequences import LazyList, binomial
+from .sequences import binomial
 from .strings import max_weight, weight_census
 
 NEG_INF = float("-inf")
@@ -185,8 +184,8 @@ class Polynomial(RingElement):
         return ((k, 0, c) for k, c in enumerate(self.coeffs))
 
     def to_json(self) -> dict:
-        """Ascending coefficients as decimal strings, each made as it is read."""
-        return {"coeffs": LazyList(partial(map, str, self.coeffs), len(self.coeffs))}
+        """Ascending coefficients, for the JSON writer, which quotes each."""
+        return {"coeffs": self.coeffs}
 
 
 def _power_text(var: str, k: int) -> str:
@@ -332,14 +331,10 @@ class BivarPoly(RingElement):
                     yield k, d, row[k]
 
     def to_json(self) -> dict:
-        """Terms as {k, d, value} rows, every number a decimal string; each
-        row is made as it is read."""
-        size = sum(len(row) - row.count(0) for row in self.rows)
-        return {"terms": LazyList(self._json_terms, size)}
-
-    def _json_terms(self) -> Iterator[dict[str, str]]:
-        for k, d, c in self._sorted_terms():
-            yield {"k": str(k), "d": str(d), "value": str(c)}
+        """The nonzero terms as {k, d, value} rows, for the JSON writer;
+        each row is made as the writer reaches it."""
+        terms = self._sorted_terms()
+        return {"terms": ({"k": k, "d": d, "value": c} for k, d, c in terms)}
 
 
 # The marker on each 1 of a p-valid string, by kind, in report order.  The

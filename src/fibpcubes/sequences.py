@@ -28,7 +28,7 @@ from collections import deque
 from functools import cache
 from itertools import chain, islice
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 # No table of F is kept; perfbench/run.py clears this before each in-process run.
@@ -352,51 +352,6 @@ def decimal_text(row: Callable[..., Iterator], p: int, n: int) -> Iterator[str]:
         if entry is None:
             return
         yield str(entry)
-
-
-class LazyList(list):
-    """A sequence of ``size`` entries that ``make()`` makes afresh on each walk.
-
-    It holds none of them.  A JSON encoder meets it as a list, as
-    ``json.dumps`` does when it checks an answer against its streamed text.
-    Its strings, if any, are number text: digits and a sign, nothing that
-    JSON escapes.
-    """
-
-    __slots__ = ("make", "size")
-
-    def __init__(self, make: Callable[[], Iterable], size: int) -> None:
-        super().__init__()
-        self.make = make
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator:
-        return iter(self.make())
-
-
-class LazyDict(dict):
-    """A JSON object of ``size`` (key, value) items that ``make()`` makes
-    afresh on each walk, as a ``LazyList`` makes its entries.
-
-    It holds none of them.  The JSON writer and ``json.dumps`` with an
-    indent read it through ``len`` and ``items()``.
-    """
-
-    __slots__ = ("make", "size")
-
-    def __init__(self, make: Callable[[], Iterable], size: int) -> None:
-        super().__init__()
-        self.make = make
-        self.size = size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def items(self) -> Iterator:  # type: ignore[override]
-        return iter(self.make())
 
 
 def exact_context():

@@ -1,9 +1,12 @@
+import contextlib
 import functools
+import io
 from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
 
+from fibpcubes import cli
 from fibpcubes.cubes import cube_census
 from fibpcubes.graph import PCubeGraph, build
 from fibpcubes.sequences import binomial
@@ -24,6 +27,14 @@ def graph_with(g, **changes):
     """A new PCubeGraph from the five fields of g, with the given ones changed."""
     fields = {"p": g.p, "n": g.n, "bits": g.bits, "index": g.index, "lows": g.lows}
     return PCubeGraph(**{**fields, **changes})
+
+
+def written_json(doc):
+    """The text the CLI's JSON writer prints for doc on stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(doc)
+    return out.getvalue()
 
 
 def as_dict(poly):

@@ -25,10 +25,9 @@ from fibpcubes.polynomials import (
     cube_poly_closed,
     dist_cube_poly_closed,
 )
-from fibpcubes.sequences import LazyList
 from fibpcubes.verify import CheckResult
 
-from conftest import as_dict
+from conftest import as_dict, written_json
 
 
 def run(capsys, *argv):
@@ -383,6 +382,28 @@ class TestExport:
         data = out.encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
 
+    def test_refused_export_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "g.dot"
+        code, out, err = run(capsys, "export", "--p", "2", "--n", "25",
+                             "--output", str(path))
+        assert code == 3 and out == "" and err.startswith("error: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt, bound", [("json", 3), ("dot", 1.5)])
+    def test_export_streams(self, fmt, bound):
+        # The graph's own views are held anyway; the text, written as it
+        # is made, adds little on top of them.  A built payload is several
+        # times their size.
+        argv = ["export", "--p", "1", "--n", "14", "--format", fmt]
+        traced_peak(argv)  # imports what the export needs
+
+        def views():
+            g = graph.build(1, 14)
+            g.vertices, g.edges, g.adjacency
+
+        ratio = traced_peak(argv) / traced_call(views)
+        assert ratio < bound, ratio
+
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "export", "--p", "2", "--n", "24", "--cap", "20")
         assert code == 3 and "cap" in err
@@ -630,55 +651,86 @@ def traced_peak(argv):
     The collector is paused, so that where a collection falls does not
     decide a comparison.
     """
+    def command():
+        with contextlib.redirect_stdout(Discard()):
+            assert cli.main(list(argv)) == 0
+
+    return traced_call(command)
+
+
+def traced_call(call):
+    """The tracemalloc peak of ``call()``, with the collector paused."""
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        with contextlib.redirect_stdout(Discard()):
-            assert cli.main(list(argv)) == 0
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
 
 
+class Walked:
+    """A row of number text and ints that is no list: the writer walks it."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def __iter__(self):
+        return iter(self.texts)
+
+    def __repr__(self):
+        return f"Walked({self.texts!r})"
+
+
+NUMBER_TEXT = st.integers().map(str) | st.text(alphabet="01")
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+JSON_ROWS = st.lists(NUMBER_TEXT | st.integers(), max_size=4).map(Walked)
 JSON_DOCS = st.recursive(
-    st.lists(JSON_SCALARS) | st.dictionaries(st.text(), JSON_SCALARS),
+    st.lists(JSON_SCALARS) | st.dictionaries(st.text(), JSON_SCALARS) | JSON_ROWS,
     lambda inner: st.lists(inner | JSON_SCALARS, max_size=4)
     | st.dictionaries(st.text(), inner | JSON_SCALARS, max_size=4),
     max_leaves=12,
 )
 
 
-def written_json(doc):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._write_json(doc)
-    return out.getvalue()
+def reference(doc):
+    """``doc`` as json.dumps must see it to print what the writer prints:
+    each int but a bool a str, each iterable but a dict or str a list."""
+    if doc is None or isinstance(doc, (bool, str)):
+        return doc
+    if isinstance(doc, int):
+        return str(doc)
+    if isinstance(doc, dict):
+        return {key: reference(value) for key, value in doc.items()}
+    return [reference(entry) for entry in doc]
 
 
 class TestStreamedOutput:
     @given(JSON_DOCS)
     def test_json_writer_is_json_dump(self, doc):
-        # Empty containers, nesting, and strings that need escapes.
-        assert written_json(doc) == json.dumps(doc, indent=2) + "\n"
+        # Empty containers, nesting, strings that need escapes, quoted ints
+        # and walked rows.
+        assert written_json(doc) == json.dumps(reference(doc), indent=2) + "\n"
 
-    def test_json_writer_walks_a_lazy_row_once(self):
-        walks = []
+    def test_json_writer_writes_each_entry_before_making_the_next(self):
+        out = io.StringIO()
+        entries = [1, "-20", 300]
+        written = []  # the text out held when each entry past the first was asked for
 
-        def make(texts):
-            walks.append(texts)
-            return iter(texts)
+        def row():
+            for k, entry in enumerate(entries):
+                if k:
+                    written.append(out.getvalue())
+                yield entry
 
-        doc = {
-            "row": LazyList(functools.partial(make, ["1", "-20", "300"]), 3),
-            "rows": [LazyList(functools.partial(make, []), 0)],
-        }
-        assert written_json(doc) == json.dumps(
+        cli._write_json({"row": row(), "rows": [iter(())]}, out)
+        assert [text.endswith(f'"{entry}"') for text, entry in
+                zip(written, entries)] == [True, True]
+        assert out.getvalue() == json.dumps(
             {"row": ["1", "-20", "300"], "rows": [[]]}, indent=2
         ) + "\n"
-        assert walks == [["1", "-20", "300"], []]
 
     @pytest.mark.parametrize(
         "argv",
@@ -695,7 +747,7 @@ class TestStreamedOutput:
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         if argv[0] == "indices":
             doc = cli._indices_doc(cli.build_parser().parse_args(argv))
-            assert out == json.dumps(doc, indent=2) + "\n"
+            assert out == json.dumps(reference(doc), indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "form, out",

@@ -17,7 +17,7 @@ from fibpcubes.graph import (
 )
 from fibpcubes.sequences import pfib, square_sum_closed
 
-from conftest import from01, graph_with
+from conftest import from01, graph_with, written_json
 
 
 def edge_labels(g):
@@ -221,21 +221,22 @@ def test_cap(capsys):
 
 
 def test_dot_export(built):
-    dot = to_dot(built(1, 3))
+    lines = list(to_dot(built(1, 3)))
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+    dot = "".join(lines)
     assert dot.startswith("graph pcube_p1_n3 {")
     assert '"000" -- "001";' in dot
     assert dot.count("--") == 5
-    assert to_dot(built(1, 3)) == dot  # deterministic
-    assert '"λ"' in to_dot(built(2, 0))
+    assert "".join(to_dot(built(1, 3))) == dot  # deterministic
+    assert '"λ"' in "".join(to_dot(built(2, 0)))
 
 
 def test_json_export(built):
-    doc = graph_json(built(1, 3))
+    doc = json.loads(written_json(graph_json(built(1, 3))))
     assert doc["vertices"] == ["000", "001", "010", "100", "101"]
     assert len(doc["edges"]) == 5
     assert all(isinstance(e["direction"], str) for e in doc["edges"])
-    text = json.dumps(doc)
-    assert json.loads(text) == doc
+    assert doc["adjacency"][0] == ["1", "2", "3"]
     # 4-cycle for the unconstrained square
-    q2 = graph_json(built(0, 2))
+    q2 = json.loads(written_json(graph_json(built(0, 2))))
     assert len(q2["vertices"]) == 4 and len(q2["edges"]) == 4
