@@ -9,11 +9,11 @@ optional bound on n.
 
 A graph keeps only its packed strings in string order, their index, and
 per direction the bitset of its edges' lower-endpoint ids under each id
-offset.  Counts are lengths and popcounts.  Other modules read the bitsets
-through ``edge_bitsets``, or through ``direction_shifts`` where they need
-one offset per direction, as the cube walk and the imbalance census do.
-The vertex objects, the sorted edge list and the adjacency lists are made
-from the bitsets on first read only.
+offset.  Counts are lengths and popcounts.  Every check, BFS included,
+reads the bitsets through ``edge_bitsets``, or ``direction_shifts`` where
+it needs one offset per direction.  Made on first read, the adjacency
+lists serve the ball sweep and ``export``, and the vertex objects and the
+sorted edge list ``export`` alone.
 
 Distances come from a BFS per source, or from one ball sweep cached on
 the graph for all its distance oracles; the sweep refuses graphs of more
@@ -22,7 +22,6 @@ than ``SWEEP_LIMIT`` vertices before it allocates any ball.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from itertools import compress
 from typing import Iterator
@@ -32,9 +31,6 @@ from .sequences import direction_products, pfib
 # Re-exported: perfbench/tracer.py times it as graph.total_edges_closed.
 from .sequences import total_edges_closed  # noqa: F401
 from .strings import PString, pvalid_bits
-
-# (lower-weight endpoint id, higher-weight endpoint id, direction 1..n)
-Edge = tuple[int, int, int]
 
 # Two rows of |V| balls of |V| bits: about |V|^2 / 4 bytes, 64 MB at this |V|.
 SWEEP_LIMIT = 1 << 14
@@ -83,8 +79,8 @@ class PCubeGraph:
         return [PString(self.n, bits) for bits in self.bits]
 
     @cached_property
-    def edges(self) -> list[Edge]:
-        """Every edge as (lower id, upper id, direction), sorted."""
+    def edges(self) -> list[tuple[int, int, int]]:
+        """Every edge as (lower-weight id, higher-weight id, direction 1..n), sorted."""
         ids = list(range(len(self.bits)))  # one int object per id, for all its edges
         return sorted(
             (ids[lo], ids[lo + offset], i)
@@ -95,10 +91,12 @@ class PCubeGraph:
     @cached_property
     def adjacency(self) -> list[list[int]]:
         """The neighbour ids of each vertex, ascending."""
-        adjacency: list[list[int]] = [[] for _ in self.bits]
-        for lo, hi, _ in self.edges:
-            adjacency[lo].append(hi)
-            adjacency[hi].append(lo)
+        ids = list(range(len(self.bits)))  # one int object per id, for all its edges
+        adjacency: list[list[int]] = [[] for _ in ids]
+        for _, lows, offset in edge_bitsets(self):
+            for lo in bitset_ids(lows):
+                adjacency[lo].append(ids[lo + offset])
+                adjacency[lo + offset].append(ids[lo])
         for neighbours in adjacency:
             neighbours.sort()
         return adjacency
@@ -215,18 +213,19 @@ def check_sweep_limit(order: int) -> None:
 
 
 def bfs_distances(g: PCubeGraph, source: int) -> list[int]:
-    """Exact unweighted shortest-path distances from a vertex id."""
+    """Shortest-path distances from a vertex id, -1 if unreached, by a frontier bitset."""
     dist = [-1] * g.vertex_count
-    dist[source] = 0
-    queue = deque([source])
-    adjacency = g.adjacency
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                queue.append(w)
+    seen = frontier = 1 << source
+    d = 0
+    while frontier:
+        for v in bitset_ids(frontier):
+            dist[v] = d
+        reached = 0
+        for _, lows, offset in edge_bitsets(g):
+            reached |= (frontier & lows) << offset | (frontier >> offset) & lows
+        frontier = reached & ~seen
+        seen |= frontier
+        d += 1
     return dist
 
 

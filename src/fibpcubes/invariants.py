@@ -1,10 +1,10 @@
 """Wiener index, Mostar index, and irregularity.
 
 Each invariant comes twice: a graph-level oracle computed from the edges
-alone, and a closed form in the sequence values.  The Wiener and Mostar
-oracles read the graph's cached ball sweep, ``PCubeGraph.distance_sums``,
-so one sweep per graph serves both, and both are refused with
-``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
+alone, as the graph's direction bitsets, and a closed form in the sequence
+values.  The Wiener and Mostar oracles read the graph's cached ball sweep,
+``PCubeGraph.distance_sums``, so one sweep per graph serves both, and both
+are refused with ``SizeLimitError`` beyond ``graph.SWEEP_LIMIT`` vertices;
 ``all_pairs_distances`` is the pairwise reference the tests hold them to.
 The oracle side never uses the direction structure that the closed forms
 rely on.
@@ -14,12 +14,13 @@ Irregularity rests on one census over ordered direction pairs (i, j),
 every irregularity check: the pairs number irr; no row has an unforced
 edge (Proposition 1) or pairs beyond offset p (Proposition 2); the pairs
 at offset d number |E(n - d)| a side and project onto that graph's edges.
+``right_pairs`` and ``left_pairs`` walk the rows lazily: no pair list is made.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .graph import PCubeGraph, bfs_distances, bitset_ids, direction_shifts, edge_bitsets
 from .sequences import edge_terms, pfib_terms, square_sum_closed, total_edges_closed
@@ -61,7 +62,11 @@ def mostar_oracle(g: PCubeGraph) -> int:
     to both sums, so the identity holds on a disconnected graph too.
     """
     sums, _ = g.distance_sums
-    return sum(abs(sums[lo] - sums[hi]) for lo, hi, _ in g.edges)
+    return sum(
+        abs(sums[lo] - sums[lo + offset])
+        for _, lows, offset in edge_bitsets(g)
+        for lo in bitset_ids(lows)
+    )
 
 
 def mostar_closed(p: int, n: int) -> int:
@@ -129,14 +134,14 @@ def imbalance_census(g: PCubeGraph) -> list[ImbalanceRow]:
     return rows
 
 
-def right_pairs(census: list[ImbalanceRow], d: int) -> list[tuple[int, int]]:
-    """(i, y) for the pairs whose direction j sits d places right of i."""
-    return [(r.i, y) for r in census if r.j - r.i == d for y in r.pairs]
+def right_pairs(census: list[ImbalanceRow], d: int) -> Iterator[tuple[int, int]]:
+    """(i, y) in ascending order for the pairs whose direction j sits d right of i."""
+    return ((r.i, y) for r in census if r.j - r.i == d for y in r.pairs)
 
 
-def left_pairs(census: list[ImbalanceRow], d: int) -> list[tuple[int, int]]:
-    """(i, y) for the pairs whose direction j sits d places left of i."""
-    return [(r.i, y) for r in census if r.i - r.j == d for y in r.pairs]
+def left_pairs(census: list[ImbalanceRow], d: int) -> Iterator[tuple[int, int]]:
+    """(i, y) in ascending order for the pairs whose direction j sits d left of i."""
+    return ((r.i, y) for r in census if r.i - r.j == d for y in r.pairs)
 
 
 def project_pair(g: PCubeGraph, i: int, j: int, x: int) -> tuple[int, int]:

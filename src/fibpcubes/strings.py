@@ -68,12 +68,6 @@ class PString:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def bit(self, i: int) -> int:
-        """Coordinate u_i, 1-indexed from the left."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} outside [1, {self.n}]")
-        return (self.bits >> (self.n - i)) & 1
-
 
 def _check_params(p: int, n: int) -> None:
     if p < 0:
@@ -82,14 +76,15 @@ def _check_params(p: int, n: int) -> None:
         raise ValueError(f"n must be non-negative, got {n}")
 
 
-def is_pvalid(u: PString, p: int) -> bool:
-    """True when every two 1s of u are separated by at least p zeros.
+def is_pvalid(bits: int, p: int) -> bool:
+    """True when every two 1s of a packed string are separated by at least p zeros.
 
-    A shift by n or more clears every bit, so at most min(p, n) are tried.
+    A shift by the bit length clears every bit, so no more shifts are tried.
     """
-    _check_params(p, u.n)
-    bits = u.bits
-    return all(not (bits & (bits >> d)) for d in range(1, min(p, u.n) + 1))
+    if bits < 0:
+        raise ValueError(f"packed bits must be non-negative, got {bits}")
+    _check_params(p, 0)
+    return all(not (bits & (bits >> d)) for d in range(1, min(p, bits.bit_length()) + 1))
 
 
 def pvalid_bits(p: int, n: int) -> list[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache, partial
-from itertools import product
+from itertools import groupby, product
 from typing import Callable, NamedTuple, Sequence
 
 from .cubes import cube_census
@@ -155,24 +155,27 @@ def _counts_at(
 def _structure_mismatches(g: PCubeGraph) -> list[str]:
     out = []
     tag = f"p={g.p} n={g.n}"
+    bits = g.bits
     # Per direction, the ids with an edge there: an id with two edges in one
-    # direction counts once, and the degree sum falls short of 2|E|.
-    ends = [0] * (g.n + 1)
+    # direction counts once, and the degree sum falls short of 2|E|.  Each
+    # bitset's first edge (lo, hi, i) that does not set exactly bit i is kept.
+    ends, wrong = [0] * (g.n + 1), []
     for i, lows, offset in edge_bitsets(g):
         ends[i] |= lows | lows << offset
+        mask = 1 << (g.n - i)
+        for lo in bitset_ids(lows):
+            if bits[lo] & mask or bits[lo + offset] != bits[lo] | mask:
+                wrong.append((lo, lo + offset, i))
+                break
     if sum(ids.bit_count() for ids in ends) != 2 * g.edge_count:
         out.append(f"{tag}: degree sum != 2|E|")
     # In string order each direction has one id offset, which the census reads.
-    if not all(is_pvalid(v, g.p) for v in g.vertices):
+    if not all(is_pvalid(b, g.p) for b in bits):
         out.append(f"{tag}: a vertex is not {g.p}-valid")
-    bits = g.bits
     if any(a >= b for a, b in zip(bits, bits[1:])):
         out.append(f"{tag}: vertex ids do not follow string order")
-    for lo, hi, i in g.edges:
-        lo_bits, mask = bits[lo], 1 << (g.n - i)
-        if lo_bits & mask or bits[hi] != lo_bits | mask:
-            out.append(f"{tag}: edge {lo}-{hi} does not set exactly bit {i}")
-            break
+    if wrong:
+        out.append("{}: edge {}-{} does not set exactly bit {}".format(tag, *min(wrong)))
     if g.vertex_count and min(bfs_distances(g, 0)) < 0:
         out.append(f"{tag}: graph is disconnected")
     return out
@@ -331,53 +334,50 @@ def _irregularity_at(
     closed = irregularity_closed(p, n)
     if closed != oracle:
         bad["closed-form"].append(f"p={p} n={n}: oracle {oracle} closed {closed}")
-    right = {d: right_pairs(census, d) for d in range(1, p + 1)}
-    for d, rp in right.items():
-        lp = left_pairs(census, d)
+    for d in range(1, p + 1):
+        rp, lp = (sum(1 for _ in side(census, d)) for side in (right_pairs, left_pairs))
         expected = total_edges_closed(p, n - d)
-        if len(rp) != expected or len(lp) != expected:
+        if rp != expected or lp != expected:
             bad["pair-set-sizes"].append(
-                f"p={p} n={n} d={d}: |R|={len(rp)} |L|={len(lp)} expected {expected}"
+                f"p={p} n={n} d={d}: |R|={rp} |L|={lp} expected {expected}"
             )
-    bad["projection-bijection"].extend(_projection_mismatches(g, right))
+    bad["projection-bijection"].extend(_projection_mismatches(g, census, p))
 
 
-def _projection_mismatches(g: PCubeGraph, right: dict[int, list]) -> list[str]:
-    # A pair that project_pair or lift_edge refuses is the first mismatch;
-    # every pair is projected, also past its offset's first mismatch.
-    found = []
-    for d, pairs in right.items():
+def _projection_mismatches(g: PCubeGraph, census: list, p: int) -> list[str]:
+    # The right pairs at offset d against the (p, n - d) graph's edges, one
+    # direction at a time over all its id offsets.  Every pair is projected:
+    # a refusal by project_pair or lift_edge is the first mismatch.
+    found: list[str] = []
+    for d in range(1, p + 1):
+        tag = f"p={g.p} n={g.n} d={d}"
         try:
-            found.extend(_bijection_mismatches(g, d, pairs))
+            smaller, covered = build(g.p, g.n - d), 0
+            for i, pairs in groupby(right_pairs(census, d), lambda pair: pair[0]):
+                target = {
+                    smaller.bits[lo + offset]
+                    for offset, lows in smaller.lows[i].items()
+                    for lo in bitset_ids(lows)
+                }
+                images = set()
+                for _, y in pairs:
+                    x = g.bits[y] | 1 << (g.n - i)
+                    hi, _ = project_pair(g, i, i + d, x)
+                    if found:
+                        continue  # only a refusal may still come, and it goes first
+                    if hi not in target:
+                        found.append(f"{tag}: projected edge is not in the smaller graph")
+                    elif hi in images:
+                        found.append(f"{tag}: projection is not injective")
+                    else:
+                        images.add(hi)
+                        if lift_edge(g.n, d, hi, i) != x:
+                            found.append(f"{tag}: lift does not round-trip the pair")
+                covered += len(images)
         except ValueError as exc:
-            return [f"p={g.p} n={g.n} d={d}: {exc}"]
-    return found
-
-
-def _bijection_mismatches(g: PCubeGraph, d: int, pairs: list) -> list[str]:
-    tag = f"p={g.p} n={g.n} d={d}"
-    smaller = build(g.p, g.n - d)
-    target = {  # (packed 1-endpoint, direction) per edge of the smaller graph
-        (smaller.bits[lo + offset], i)
-        for i, lows, offset in edge_bitsets(smaller)
-        for lo in bitset_ids(lows)
-    }
-    images, found = set(), []
-    for i, y in pairs:
-        x = g.bits[y] | 1 << (g.n - i)
-        hi, _ = project_pair(g, i, i + d, x)
-        if found:
-            continue  # only a refusal may still come, and it goes first
-        if (hi, i) not in target:
-            found.append(f"{tag}: projected edge is not in the smaller graph")
-        elif (hi, i) in images:
-            found.append(f"{tag}: projection is not injective")
-        else:
-            images.add((hi, i))
-            if lift_edge(g.n, d, hi, i) != x:
-                found.append(f"{tag}: lift does not round-trip the pair")
-    if not found and len(images) != len(target):
-        found.append(f"{tag}: image covers {len(images)} of {len(target)} edges")
+            return [f"{tag}: {exc}"]
+        if not found and covered != smaller.edge_count:
+            found.append(f"{tag}: image covers {covered} of {smaller.edge_count} edges")
     return found
 
 

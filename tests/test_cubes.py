@@ -71,12 +71,12 @@ def test_members_and_invariants(built):
                     if sub & mask == sub
                 ]
                 assert len(members) == 2**cube.k
-                assert all(is_pvalid(m, p) for m in members)
+                assert all(is_pvalid(m.bits, p) for m in members)
                 assert mask.bit_count() == cube.k
                 assert cube.support == tuple(
                     i
                     for i in range(1, n + 1)
-                    if cube.top.bit(i) == 1 and cube.bottom.bit(i) == 0
+                    if cube.top.bits >> (n - i) & 1 and not cube.bottom.bits >> (n - i) & 1
                 )
                 # the member set induces a k-dimensional hypercube
                 ids = {g.index[m.bits] for m in members}

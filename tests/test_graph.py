@@ -93,8 +93,10 @@ def test_graphs_are_equal_field_by_field(drop_edge):
 
 
 def test_cube_suite_reads_no_view(monkeypatch):
-    # The census walks the bitsets: no vertex object, edge tuple or
-    # adjacency list is made for it.
+    # The cube walk, the counts checks and the imbalance census read the
+    # bitsets: no vertex object, edge tuple or adjacency list is made for
+    # any graph they build, the projection's smaller graphs included.  With
+    # no sweep allowed, the partial-cube check only leaves a note.
     graphs = []
 
     def capturing_build(p, n, **kwargs):
@@ -102,9 +104,17 @@ def test_cube_suite_reads_no_view(monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(verify, "build", capturing_build)
-    results = verify.run_suite("cubes", [1, 2], range(13))
-    assert all(r.passed for r in results)
-    assert [(g.p, g.n) for g in graphs] == [(p, n) for p in (1, 2) for n in range(13)]
+    monkeypatch.setattr(graph, "SWEEP_LIMIT", 0)
+    grid = [(p, n) for p in (1, 2) for n in range(13)]
+    projected = [(p, n - d) for p, n in grid for d in range(1, p + 1) if n >= p]
+    results = {
+        suite: verify.run_suite(suite, [1, 2], range(13))
+        for suite in ("cubes", "counts", "irregularity")
+    }
+    assert all(r.passed for rs in results.values() for r in rs)
+    assert sorted((g.p, g.n) for g in graphs) == sorted(grid * 3 + projected)
+    assert [r.detail.count("partial-cube not checked") for r in results["counts"]
+            if r.name.startswith("counts/partial-cube")] == [13, 13]
     for g in graphs:
         assert not {"edges", "adjacency", "vertices"} & vars(g).keys(), (g.p, g.n)
 

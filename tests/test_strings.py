@@ -43,8 +43,9 @@ class TestPString:
         assert ones(from01("")) == ()
 
     def test_bit_is_one_indexed_from_left(self):
+        # u_1 is packed at the most significant of the n bits
         u = from01("100")
-        assert [u.bit(i) for i in (1, 2, 3)] == [1, 0, 0]
+        assert [(u.bits >> (u.n - i)) & 1 for i in (1, 2, 3)] == [1, 0, 0]
 
     def test_ordering_is_lexicographic(self):
         texts = ["0011", "1100", "0000", "0101"]
@@ -71,31 +72,27 @@ class TestPString:
             PString(2, 4)
         with pytest.raises(ValueError, match="out of range"):
             PString(2, -1)
-        with pytest.raises(ValueError):
-            from01("10").bit(3)
-        with pytest.raises(ValueError):
-            from01("10").bit(0)
 
 
 class TestValidity:
     def test_examples(self):
-        assert is_pvalid(from01("1001"), 2)
-        assert not is_pvalid(from01("1010"), 2)
-        assert is_pvalid(from01("0000"), 5)
+        assert is_pvalid(from01("1001").bits, 2)
+        assert not is_pvalid(from01("1010").bits, 2)
+        assert is_pvalid(from01("0000").bits, 5)
 
     def test_huge_p_tries_at_most_n_shifts(self):
         # A shift by n or more clears every bit; p = 10^12 shifts would hang.
-        assert is_pvalid(PString(3, 0b100), 10**12)
-        assert not is_pvalid(PString(3, 0b101), 10**12)
+        assert is_pvalid(0b100, 10**12)
+        assert not is_pvalid(0b101, 10**12)
 
     def test_p_zero_accepts_everything(self):
         for bits in range(16):
-            assert is_pvalid(PString(4, bits), 0)
+            assert is_pvalid(bits, 0)
 
     @given(st.integers(0, 3), st.binary(min_size=0, max_size=2))
     def test_matches_naive_gap_check(self, p, raw):
         text = "".join(format(b, "08b") for b in raw)
-        assert is_pvalid(from01(text), p) == naive_valid(text, p)
+        assert is_pvalid(from01(text).bits, p) == naive_valid(text, p)
 
 
 class TestEnumeration:
@@ -129,7 +126,7 @@ class TestEnumeration:
         for p in (1, 3):
             strings = enumerate_pstrings(p, 10)
             assert strings == sorted(strings)
-            assert all(is_pvalid(u, p) for u in strings)
+            assert all(is_pvalid(u.bits, p) for u in strings)
 
     def test_cap(self, monkeypatch):
         with pytest.raises(SizeLimitError, match="F\\^1_33"):

@@ -373,6 +373,26 @@ def test_projection_refusal_fails_a_check(monkeypatch, capsys, drop_edge):
     )
 
 
+def test_projection_reads_every_offset_of_a_direction(monkeypatch, swap_vertices):
+    # The smaller graphs relabelled: the ids 1 and 2 of the (1, 5) graph
+    # swapped give its direction-1 edges the id offsets 7, 8 and 9.  It is
+    # the same graph, so every projected pair still finds its edge.
+    build = verify.build
+    smaller = []
+
+    def relabelled_smaller(p, m, **kwargs):
+        g = build(p, m, **kwargs)
+        if m < 6:
+            g = swap_vertices(g, 1, 2)
+            smaller.append(g)
+        return g
+
+    monkeypatch.setattr(verify, "build", relabelled_smaller)
+    results = verify.run_suite("irregularity", [1], [6])
+    assert CheckResult("irregularity/projection-bijection p=1", True) in results
+    assert [sorted(g.lows[1]) for g in smaller] == [[7, 8, 9]]
+
+
 def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge):
     # The edge 000000-000001 still raises the weight by 1, but claims
     # direction 5, where 000000 already has its edge to 000010.
@@ -394,6 +414,28 @@ def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL counts/structure p=1: p=1 n=6: degree sum != 2|E|\n" in out
+
+
+def test_isolated_vertex_fails_structure(monkeypatch, capsys, drop_edge):
+    # 101010 loses its three edges, down at directions 1, 3 and 5: no
+    # frontier from 000000 reaches it.
+    build = verify.build
+
+    def build_with_isolated_vertex(p, m, **kwargs):
+        g = build(p, m, **kwargs)
+        top = 0b101010
+        for i in (1, 3, 5):
+            g = drop_edge(g, (g.index[top ^ 1 << (m - i)], g.index[top], i))
+        return g
+
+    assert verify._structure_mismatches(build_with_isolated_vertex(1, 6)) == [
+        "p=1 n=6: graph is disconnected"
+    ]
+    monkeypatch.setattr(verify, "build", build_with_isolated_vertex)
+    code = cli.main(["verify", "counts", "--p", "1", "--n", "6"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL counts/structure p=1: p=1 n=6: graph is disconnected\n" in out
 
 
 # Swapping two ids keeps the graph but breaks string order; relabelling the
