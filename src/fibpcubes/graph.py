@@ -12,8 +12,8 @@ per direction the bitset of its edges' lower-endpoint ids under each id
 offset.  Counts are lengths and popcounts.  Every check, BFS included,
 reads the bitsets through ``edge_bitsets``, or ``direction_shifts`` where
 it needs one offset per direction.  Made on first read, the adjacency
-lists serve the ball sweep and ``export``, and the vertex objects and the
-sorted edge list ``export`` alone.
+lists serve the ball sweep and ``export``, the vertex objects ``export``
+alone, and the sorted edge list its DOT alone.
 
 Distances come from a BFS per source, or from one ball sweep cached on
 the graph for all its distance oracles; the sweep refuses graphs of more
@@ -199,9 +199,9 @@ def direction_edge_count_closed(p: int, n: int, i: int) -> int:
 def direction_edge_counts_closed(p: int, n: int) -> list[int]:
     """The closed forms F^p_i * F^p_{n-i+1} for directions i = 1..n, in order.
 
-    Their factors come from two windows of p + 1 values: F_1, F_2, ...
-    rising from the seed, and F_n, F_{n-1}, ... falling from F_{n-p} ..
-    F_n; no table of F is kept.
+    They come from ``direction_products``, by products of a rising and a
+    falling window of F or by sums over a window of (p+1)^2 cross products,
+    whichever it picks; no table of F is kept.
     """
     return list(direction_products(p, n))
 
@@ -241,11 +241,21 @@ def to_dot(g: PCubeGraph) -> Iterator[str]:
 
 
 def graph_json(g: PCubeGraph) -> dict:
-    """Adjacency-list document for the JSON writer, which quotes every number."""
+    """Adjacency-list document for the JSON writer, which quotes every number.
+
+    The edges come from the adjacency lists, which ``export`` holds anyway:
+    ids follow string order, so an edge's lower-weight end is its lower id.
+    """
+    bits, n = g.bits, g.n
     return {
         "p": g.p,
         "n": g.n,
         "vertices": (v.to01() for v in g.vertices),
         "adjacency": g.adjacency,
-        "edges": ({"lo": lo, "hi": hi, "direction": d} for lo, hi, d in g.edges),
+        "edges": (  # in the order of g.edges, without making it
+            {"lo": lo, "hi": hi, "direction": n + 1 - (bits[lo] ^ bits[hi]).bit_length()}
+            for lo, neighbours in enumerate(g.adjacency)
+            for hi in neighbours
+            if hi > lo
+        ),
     }

@@ -19,6 +19,11 @@ The orders are p + 1, 2p + 2 and (p+1)(p+2), and the jump costs about d^2
 products, so where p is large beside n the same terms come by stepping up
 from the seed through windows of at most p + 1 values instead
 (``_jump_pays``).
+
+The row F_i F_{n-i+1} of per-direction edge counts also comes two ways:
+one product per entry of the rising and the falling window, or 2p + 2
+additions per entry to a window of (p+1)^2 cross products; ``_sums_pay``
+picks one, and the counts suite checks both.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 from collections import deque
 from functools import cache
 from itertools import chain, islice
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 
@@ -255,6 +260,17 @@ def _jump_pays(order: int, n: int) -> bool:
     return order * order * max(n.bit_length(), 1) <= max(n, JUMP_BUDGET)
 
 
+def _sums_pay(p: int, n: int) -> bool:
+    """Whether the sums, not the products, make the direction row at (p, n).
+
+    Measured, the sums overtake the products near n = 2000, 4500, 12300 and
+    19500 at p = 1, 3, 8 and 12 on decimals, and near 3000, 6000, 19800 and
+    38000 on ints, which ``square_sum_closed`` reads from p = 7 up.  At p = 0
+    every entry is 2^(n-1), and the products route makes it as cheaply.
+    """
+    return 0 < p and 250 * (p + 1) ** 2 <= n
+
+
 def pfib_terms(p: int, n: int, count: int = 1) -> list[int]:
     """F_n .. F_{n+count-1}; the jump stores F_0 .. F_p (F_0, F_1 at p = 0)."""
     if _jump_pays(p + 1, n):
@@ -324,9 +340,46 @@ def edges_rising(p: int) -> Iterator[int]:
 
 
 def direction_products(p: int, n: int, one=1) -> Iterator:
-    """F_i F_{n-i+1} for i = 1 .. n, the row of per-direction edge counts,
-    from a rising and a falling window that each run the whole row."""
+    """F_i F_{n-i+1} for i = 1 .. n, the row of per-direction edge counts.
+
+    Two routes make the same row: ``direction_row_products``, one product
+    per entry, and ``direction_row_sums``, 2p + 2 additions per entry.  A
+    product of D-digit numbers costs more than the additions once the
+    entries are long beside p, so the sums serve where ``_sums_pay``.
+    """
+    route = direction_row_sums if _sums_pay(p, n) else direction_row_products
+    return route(p, n, one)
+
+
+def direction_row_products(p: int, n: int, one=1) -> Iterator:
+    """The row as F_i times F_{n-i+1}, from a rising and a falling window
+    that each run the whole row."""
     return map(mul, islice(pfib_from(p, 1, one), n), pfib_falling(p, n, one))
+
+
+def direction_row_sums(p: int, n: int, one=1) -> Iterator:
+    """The row from a window of the (p+1)^2 cross products F_{i-p+a} F_{k+p-b},
+    a, b = 0 .. p, with k = n + 1 - i, by additions alone.
+
+    Entries 1 .. p + 1 are F_n .. F_{n-p}, since F_1 .. F_{p+1} are the seed
+    ones; they come from the jump as ``pfib_falling``'s top window does, and
+    every row of the first window is that window.  Each step down in k appends
+    F_{k-1} = F_{k+p} - F_{k+p-1} to every row, and each step up in i appends
+    the row of F_{i+1} = F_i + F_{i-p}; at p = 0 the step down halves instead.
+    """
+    if n < 1:
+        return
+    low = max(n - p, 1)
+    top = [one * f for f in reversed(pfib_terms(p, low, n - low + 1))]  # F_n .. F_low
+    yield from top
+    if n <= p + 1:
+        return
+    rows = deque((deque(top, p + 1) for _ in range(p + 1)), p + 1)
+    for _ in range(n - p - 1):
+        for row in rows:
+            row.append(row[0] // 2 if p == 0 else row[0] - row[1])
+        rows.append(deque(map(add, rows[0], rows[-1]), p + 1))
+        yield rows[-1][-1]
 
 
 def decimal_text(row: Callable[..., Iterator], p: int, n: int) -> Iterator[str]:

@@ -57,6 +57,8 @@ from .polynomials import (
 from .sequences import (
     decimal_text,
     direction_products,
+    direction_row_products,
+    direction_row_sums,
     kfold_convolution,
     pfib,
     total_edges_closed,
@@ -104,6 +106,8 @@ def _counts_at(
         bad["size"].append(f"p={p} n={n}: |E|={g.edge_count} expected {expected_size}")
     # Each count four ways: the graph's, the one-pass list, the decimal text
     # that indices prints, the single product.  The row is a palindrome.
+    # Both routes of the row give that list and text, whichever one
+    # direction_products picks, so the switch never decides what is checked.
     listed = direction_edge_counts_closed(p, n)
     text = list(decimal_text(direction_products, p, n))
     if len(listed) != n or len(text) != n:
@@ -120,6 +124,16 @@ def _counts_at(
                 f"p={p} n={n} i={i}: counted {counted} listed {in_list} "
                 f"text {in_text} expected {closed}"
             )
+    routes = (("products", direction_row_products), ("sums", direction_row_sums))
+    for name, route in routes:
+        for form, made, picked in (
+            ("list", list(route(p, n)), listed),
+            ("text", list(decimal_text(route, p, n)), text),
+        ):
+            if made != picked:
+                bad["directions"].append(
+                    f"p={p} n={n}: the {name} route differs from the {form}"
+                )
     # Each weight four ways: the graph's census, the one-pass row, the decimal
     # text that count prints, one binomial.
     census = Counter(b.bit_count() for b in g.bits)

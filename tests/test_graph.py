@@ -250,3 +250,11 @@ def test_json_export(built):
     # 4-cycle for the unconstrained square
     q2 = json.loads(written_json(graph_json(built(0, 2))))
     assert len(q2["vertices"]) == 4 and len(q2["edges"]) == 4
+
+
+@pytest.mark.parametrize("p, n", [(0, 0), (0, 6), (1, 9), (2, 10), (3, 8), (5, 11)])
+def test_json_edges_are_the_edge_list(built, p, n):
+    # graph_json reads the edges off the adjacency lists, in g.edges' order.
+    g = built(p, n)
+    edges = [(e["lo"], e["hi"], e["direction"]) for e in graph_json(g)["edges"]]
+    assert edges == g.edges

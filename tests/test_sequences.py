@@ -9,10 +9,13 @@ from fibpcubes import invariants, sequences
 from fibpcubes.invariants import irregularity_closed
 from fibpcubes.sequences import (
     _jump_pays,
+    _sums_pay,
     binomial,
     convolve_prefix,
     decimal_text,
     direction_products,
+    direction_row_products,
+    direction_row_sums,
     edge_denominator,
     edge_terms,
     edges_rising,
@@ -238,6 +241,16 @@ def test_jump_serves_small_p_and_windows_large_p():
     assert _jump_pays(3 * 4, 8000) and _jump_pays(7 * 8, 10**5)
 
 
+def test_row_sums_serve_long_entries_at_small_p():
+    # The sums serve where p > 0 and 250 (p+1)^2 <= n; the constant comes
+    # from the crossovers that _sums_pay names.  At p = 0 they never serve.
+    assert not _sums_pay(1, 999) and _sums_pay(1, 1000)
+    assert not _sums_pay(2, 2249) and _sums_pay(2, 2250)
+    assert not _sums_pay(8, 20000) and _sums_pay(5, 20000)
+    assert not _sums_pay(100, 20000) and _sums_pay(100, 250 * 101**2)
+    assert not _sums_pay(0, 10**9) and not _sums_pay(10**12, 3)
+
+
 @pytest.mark.parametrize("p", range(7))
 def test_square_sum_denominator_is_certified(p):
     # Q_S has degree (p+1)(p+2)/2, and Q_S^2 annihilates S on twice its
@@ -269,9 +282,9 @@ def test_windows_run_both_ways(p, route):
     assert list(islice(pfib_from(p, 1), 60)) == fib[1:]
     for n in range(61):
         assert list(pfib_falling(p, n)) == fib[n:0:-1]
-        assert list(direction_products(p, n)) == [
-            fib[i] * fib[n - i + 1] for i in range(1, n + 1)
-        ]
+        plain = [fib[i] * fib[n - i + 1] for i in range(1, n + 1)]
+        for row in (direction_row_products, direction_row_sums):
+            assert list(row(p, n)) == plain, row
     assert list(islice(edges_rising(p), 61)) == table_sums(p, 60, 1)
 
 
@@ -286,9 +299,9 @@ def test_windows_start_lazily_at_huge_p():
     "row, p, n",
     [
         (weight_row, 1, 8000),
-        (direction_products, 2, 8000),
+        (direction_products, 2, 8000),  # the switch picks the sums here
         (direction_products, 0, 4000),  # the falling window halves
-        (direction_products, 100, 20000),  # the jump does not pay here
+        (direction_products, 100, 20000),  # the products, and no jump
     ],
     ids=["weights", "directions", "halving", "windows"],
 )

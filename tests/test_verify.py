@@ -3,6 +3,7 @@ broken on purpose, makes that check fail."""
 
 import decimal
 import functools
+import inspect
 
 import pytest
 
@@ -169,6 +170,40 @@ def test_text_row_out_of_order_is_no_palindrome(monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL counts/directions p=1: p=1 n=3: the row is not a palindrome\n" in out
+
+
+def sums_route_mutant(old, new):
+    """direction_row_sums with one step of its source changed, and nothing else."""
+    source = inspect.getsource(sequences.direction_row_sums)
+    assert source.count(old) == 1
+    namespace = vars(sequences).copy()
+    exec(source.replace(old, new), namespace)
+    return namespace["direction_row_sums"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("row[0] - row[1]", "row[0] + row[1]"),  # the falling difference
+        ("rows[0], rows[-1]", "rows[-1], rows[-1]"),  # the rising sum
+        ("row[0] // 2", "row[0] // 2 + 1"),  # the halving at p = 0
+    ],
+    ids=["falling", "rising", "halving"],
+)
+def test_broken_row_sums_fail_directions(monkeypatch, capsys, old, new):
+    # On the CI grid the switch picks the products everywhere, so only the
+    # counts suite's hold on both routes reads the sums.
+    monkeypatch.setattr(verify, "direction_row_sums", sums_route_mutant(old, new))
+    grid = ["--p", "0..4", "--n", "0..12"]
+    for argv in (["verify", "counts", *grid], ["verify", "all", *grid, "--N", "20"]):
+        assert cli.main(argv) == 1
+        failed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL ")
+        ]
+        assert failed
+        assert all(line.startswith("FAIL counts/directions ") for line in failed)
+        assert "the sums route differs from the list" in failed[0]
 
 
 def test_rounding_decimal_context_fails_the_text_routes(monkeypatch, capsys):
