@@ -12,8 +12,8 @@ per direction the bitset of its edges' lower-endpoint ids under each id
 offset.  Counts are lengths and popcounts.  Every check, BFS included,
 reads the bitsets through ``edge_bitsets``, or ``direction_shifts`` where
 it needs one offset per direction.  Made on first read, the adjacency
-lists serve the ball sweep and ``export``, the vertex objects ``export``
-alone, and the sorted edge list its DOT alone.
+lists serve the ball sweep and ``export``, which labels the vertices from
+``bits``; no library code reads the vertex objects.
 
 Distances come from a BFS per source, or from one ball sweep cached on
 the graph for all its distance oracles; the sweep refuses graphs of more
@@ -22,6 +22,7 @@ than ``SWEEP_LIMIT`` vertices before it allocates any ball.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
 from itertools import compress
 from typing import Iterator
@@ -30,7 +31,7 @@ from .errors import SizeLimitError
 from .sequences import direction_products, pfib
 # Re-exported: perfbench/tracer.py times it as graph.total_edges_closed.
 from .sequences import total_edges_closed  # noqa: F401
-from .strings import PString, pvalid_bits
+from .strings import PString, bits_to01, pvalid_bits
 
 # Two rows of |V| balls of |V| bits: about |V|^2 / 4 bytes, 64 MB at this |V|.
 SWEEP_LIMIT = 1 << 14
@@ -75,18 +76,11 @@ class PCubeGraph:
 
     @cached_property
     def vertices(self) -> list[PString]:
-        """The strings as ``PString`` objects, in id order."""
-        return [PString(self.n, bits) for bits in self.bits]
+        """The strings as ``PString`` objects, in id order.
 
-    @cached_property
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Every edge as (lower-weight id, higher-weight id, direction 1..n), sorted."""
-        ids = list(range(len(self.bits)))  # one int object per id, for all its edges
-        return sorted(
-            (ids[lo], ids[lo + offset], i)
-            for i, lows, offset in edge_bitsets(self)
-            for lo in bitset_ids(lows)
-        )
+        Only the benchmark tracer's cube-census counters read them.
+        """
+        return [PString(self.n, bits) for bits in self.bits]
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
@@ -231,31 +225,34 @@ def bfs_distances(g: PCubeGraph, source: int) -> list[int]:
 
 def to_dot(g: PCubeGraph) -> Iterator[str]:
     """DOT text, line by line, with bit-string vertex labels, in a fixed order."""
-    labels = [f'"{v.to01() or "λ"}"' for v in g.vertices]  # each made once
+    labels = [f'"{bits_to01(g.n, b) or "λ"}"' for b in g.bits]  # each made once
     yield f"graph pcube_p{g.p}_n{g.n} {{\n"
     for label in labels:
         yield f"  {label};\n"
-    for lo, hi, _ in g.edges:
-        yield f"  {labels[lo]} -- {labels[hi]};\n"
+    for lo, highs in _higher_neighbours(g):
+        for hi in highs:
+            yield f"  {labels[lo]} -- {labels[hi]};\n"
     yield "}\n"
 
 
 def graph_json(g: PCubeGraph) -> dict:
-    """Adjacency-list document for the JSON writer, which quotes every number.
-
-    The edges come from the adjacency lists, which ``export`` holds anyway:
-    ids follow string order, so an edge's lower-weight end is its lower id.
-    """
+    """Adjacency-list document for the JSON writer, which quotes every number."""
     bits, n = g.bits, g.n
     return {
         "p": g.p,
         "n": g.n,
-        "vertices": (v.to01() for v in g.vertices),
+        "vertices": (bits_to01(n, b) for b in bits),
         "adjacency": g.adjacency,
-        "edges": (  # in the order of g.edges, without making it
+        "edges": (
             {"lo": lo, "hi": hi, "direction": n + 1 - (bits[lo] ^ bits[hi]).bit_length()}
-            for lo, neighbours in enumerate(g.adjacency)
-            for hi in neighbours
-            if hi > lo
+            for lo, highs in _higher_neighbours(g)
+            for hi in highs
         ),
     }
+
+
+def _higher_neighbours(g: PCubeGraph) -> Iterator[tuple[int, list[int]]]:
+    """Per vertex id lo, its neighbours above lo, ascending: every edge once,
+    sorted by (lo, hi).  Ids follow string order, so lo is the lower-weight end."""
+    for lo, neighbours in enumerate(g.adjacency):
+        yield lo, neighbours[bisect_right(neighbours, lo):]

@@ -260,15 +260,16 @@ def _jump_pays(order: int, n: int) -> bool:
     return order * order * max(n.bit_length(), 1) <= max(n, JUMP_BUDGET)
 
 
-def _sums_pay(p: int, n: int) -> bool:
+def _sums_pay(p: int, n: int, decimal: bool = False) -> bool:
     """Whether the sums, not the products, make the direction row at (p, n).
 
     Measured, the sums overtake the products near n = 2000, 4500, 12300 and
-    19500 at p = 1, 3, 8 and 12 on decimals, and near 3000, 6000, 19800 and
-    38000 on ints, which ``square_sum_closed`` reads from p = 7 up.  At p = 0
-    every entry is 2^(n-1), and the products route makes it as cheaply.
+    19500 at p = 1, 3, 8 and 12 on decimals, which ``indices`` prints, and
+    near 3000, 6000, 19800 and 38000 on ints, which ``square_sum_closed``
+    reads from p = 7 up.  At p = 0 every entry is 2^(n-1), and the products
+    route makes it as cheaply.
     """
-    return 0 < p and 250 * (p + 1) ** 2 <= n
+    return 0 < p and (43 * (p + 1) * (p + 23) if decimal else 250 * (p + 1) ** 2) <= n
 
 
 def pfib_terms(p: int, n: int, count: int = 1) -> list[int]:
@@ -347,7 +348,8 @@ def direction_products(p: int, n: int, one=1) -> Iterator:
     product of D-digit numbers costs more than the additions once the
     entries are long beside p, so the sums serve where ``_sums_pay``.
     """
-    route = direction_row_sums if _sums_pay(p, n) else direction_row_products
+    decimal = one.__class__ is not int
+    route = direction_row_sums if _sums_pay(p, n, decimal) else direction_row_products
     return route(p, n, one)
 
 

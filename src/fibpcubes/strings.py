@@ -59,7 +59,7 @@ class PString:
         return hash((self.n, self.bits))
 
     def to01(self) -> str:
-        return format(self.bits, f"0{self.n}b") if self.n else ""
+        return bits_to01(self.n, self.bits)
 
     def __repr__(self) -> str:
         return f"PString({self.to01()!r})"
@@ -67,6 +67,11 @@ class PString:
     @property
     def weight(self) -> int:
         return self.bits.bit_count()
+
+
+def bits_to01(n: int, bits: int) -> str:
+    """The packed string of length n as 0/1 text, u_1 first; "" at n = 0."""
+    return format(bits, f"0{n}b") if n else ""
 
 
 def _check_params(p: int, n: int) -> None:

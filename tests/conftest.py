@@ -8,7 +8,7 @@ import pytest
 
 from fibpcubes import cli
 from fibpcubes.cubes import cube_census
-from fibpcubes.graph import PCubeGraph, build
+from fibpcubes.graph import PCubeGraph, bitset_ids, build, edge_bitsets
 from fibpcubes.sequences import binomial
 from fibpcubes.strings import PString, enumerate_pstrings, max_weight
 
@@ -85,9 +85,10 @@ def reference_graph():
 
     Every two p-valid strings are compared; two at Hamming distance 1 make
     an edge (lo, hi, i), lo the one without the 1 at coordinate i.  No
-    vertex index and no bitset is read.
+    vertex index and no bitset is read.  Memoized: treat as read-only.
     """
 
+    @functools.lru_cache(maxsize=None)
     def _graph(p, n):
         strings = enumerate_pstrings(p, n)
         edges = []
@@ -155,9 +156,10 @@ def swap_vertices():
         new[a], new[b] = b, a  # an involution: old id <-> new id
         bits = [g.bits[new[v]] for v in range(g.vertex_count)]
         lows = [{} for _ in g.lows]
-        for lo, hi, i in g.edges:
-            offset = new[hi] - new[lo]
-            lows[i][offset] = lows[i].get(offset, 0) | 1 << new[lo]
+        for i, old_lows, old_offset in edge_bitsets(g):
+            for lo in bitset_ids(old_lows):
+                offset = new[lo + old_offset] - new[lo]
+                lows[i][offset] = lows[i].get(offset, 0) | 1 << new[lo]
         index = {u: v for v, u in enumerate(bits)}
         return graph_with(g, bits=bits, index=index, lows=lows)
 

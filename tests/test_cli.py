@@ -365,8 +365,9 @@ class TestExport:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    # Length and sha256 of each export of one graph: the vertex, edge and
-    # adjacency views that export reads must keep every byte.
+    # Length and sha256 of each export of one graph: the labels and edges
+    # that export reads off the packed strings and the adjacency lists must
+    # keep every byte.
     @pytest.mark.parametrize(
         "fmt, length, digest",
         [
@@ -391,17 +392,16 @@ class TestExport:
 
     @pytest.mark.parametrize("fmt, bound", [("json", 3), ("dot", 1.5)])
     def test_export_streams(self, fmt, bound):
-        # The graph's own views are held anyway; the text, written as it
-        # is made, adds little on top of them.  A built payload is several
-        # times their size.
+        # The graph and its adjacency lists are held anyway; the text,
+        # written as it is made, adds little on top of them.  A built
+        # payload is several times their size.
         argv = ["export", "--p", "1", "--n", "14", "--format", fmt]
         traced_peak(argv)  # imports what the export needs
 
-        def views():
-            g = graph.build(1, 14)
-            g.vertices, g.edges, g.adjacency
+        def held():
+            graph.build(1, 14).adjacency
 
-        ratio = traced_peak(argv) / traced_call(views)
+        ratio = traced_peak(argv) / traced_call(held)
         assert ratio < bound, ratio
 
     def test_cap_exceeded(self, capsys):

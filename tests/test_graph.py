@@ -16,14 +16,29 @@ from fibpcubes.graph import (
     total_edges_closed,
 )
 from fibpcubes.sequences import pfib, square_sum_closed
+from fibpcubes.strings import bits_to01
 
 from conftest import from01, graph_with, written_json
 
 
 def edge_labels(g):
+    """Each edge as its (lower, upper) end's 0/1 text, read off the adjacency lists."""
+    text = [bits_to01(g.n, b) for b in g.bits]
     return {
-        (g.vertices[lo].to01(), g.vertices[hi].to01()) for lo, hi, _ in g.edges
+        (text[lo], text[hi])
+        for lo, neighbours in enumerate(g.adjacency)
+        for hi in neighbours
+        if hi > lo
     }
+
+
+def bitset_edges(g):
+    """Each edge as (lower id, upper id, direction), sorted, from the bitsets."""
+    return sorted(
+        (lo, lo + offset, i)
+        for i, lows, offset in graph.edge_bitsets(g)
+        for lo in graph.bitset_ids(lows)
+    )
 
 
 def test_small_graph_exactly(built):
@@ -51,7 +66,7 @@ def test_build_equals_pairwise_scan(reference_graph, p):
         g, ref = build(p, n), reference_graph(p, n)
         assert g.vertices == ref.vertices
         assert g.bits == [v.bits for v in ref.vertices]
-        assert g.edges == ref.edges
+        assert bitset_edges(g) == ref.edges
         assert g.adjacency == ref.adjacency
         counts = [direction_edge_count(g, i) for i in range(1, n + 1)]
         assert counts == ref.per_direction
@@ -79,11 +94,11 @@ def test_build_records_offsets_as_found(monkeypatch, built, swap_vertices):
         graph.direction_shifts(g)
 
 
-def test_graphs_are_equal_field_by_field(drop_edge):
+def test_graphs_are_equal_field_by_field(drop_edge, reference_graph):
     g, h = build(1, 4), build(1, 4)
-    h.edges  # a cached view is no field
+    h.adjacency  # a cached view is no field
     assert g == h and g is not h
-    lows = drop_edge(g, h.edges[0]).lows
+    lows = drop_edge(g, reference_graph(1, 4).edges[0]).lows
     changed = {"p": 2, "n": 5, "bits": g.bits[::-1], "index": {}, "lows": lows}
     for field, value in changed.items():
         assert graph_with(g, **{field: value}) != g, field
@@ -94,7 +109,7 @@ def test_graphs_are_equal_field_by_field(drop_edge):
 
 def test_cube_suite_reads_no_view(monkeypatch):
     # The cube walk, the counts checks and the imbalance census read the
-    # bitsets: no vertex object, edge tuple or adjacency list is made for
+    # bitsets: no vertex object or adjacency list is made for
     # any graph they build, the projection's smaller graphs included.  With
     # no sweep allowed, the partial-cube check only leaves a note.
     graphs = []
@@ -116,7 +131,7 @@ def test_cube_suite_reads_no_view(monkeypatch):
     assert [r.detail.count("partial-cube not checked") for r in results["counts"]
             if r.name.startswith("counts/partial-cube")] == [13, 13]
     for g in graphs:
-        assert not {"edges", "adjacency", "vertices"} & vars(g).keys(), (g.p, g.n)
+        assert not {"adjacency", "vertices"} & vars(g).keys(), (g.p, g.n)
 
 
 def test_direction_counts(built):
@@ -210,14 +225,14 @@ def test_distance_equals_hamming(built):
                     assert dist[target] == (u.bits ^ g.vertices[target].bits).bit_count()
 
 
-def test_connected_and_bipartite(built):
+def test_connected_and_bipartite(built, reference_graph):
     for p in range(4):
         for n in range(10):
             g = built(p, n)
             assert all(d >= 0 for d in bfs_distances(g, 0))
-            for lo, hi, i in g.edges:
-                assert g.vertices[hi].weight == g.vertices[lo].weight + 1
-                assert g.vertices[hi].bits == g.vertices[lo].bits | 1 << (n - i)
+            for lo, hi, i in reference_graph(p, n).edges:
+                assert g.bits[hi].bit_count() == g.bits[lo].bit_count() + 1
+                assert g.bits[hi] == g.bits[lo] | 1 << (n - i)
             assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
 
 
@@ -252,9 +267,26 @@ def test_json_export(built):
     assert len(q2["vertices"]) == 4 and len(q2["edges"]) == 4
 
 
-@pytest.mark.parametrize("p, n", [(0, 0), (0, 6), (1, 9), (2, 10), (3, 8), (5, 11)])
-def test_json_edges_are_the_edge_list(built, p, n):
-    # graph_json reads the edges off the adjacency lists, in g.edges' order.
-    g = built(p, n)
+@pytest.mark.parametrize(
+    "p, n", [(0, 0), (3, 0), (5, 3), (0, 6), (1, 9), (2, 10), (3, 8), (5, 11)]
+)
+def test_json_edges_are_the_edge_list(built, reference_graph, p, n):
+    # Both formats read the edges off the adjacency lists: JSON lists the
+    # pairwise scan's sorted edges, and DOT draws them in that order.
+    g, ref = built(p, n), reference_graph(p, n)
     edges = [(e["lo"], e["hi"], e["direction"]) for e in graph_json(g)["edges"]]
-    assert edges == g.edges
+    assert edges == ref.edges
+    labels = [f'"{v.to01() or "λ"}"' for v in ref.vertices]
+    dot_edges = [line for line in to_dot(g) if " -- " in line]
+    assert dot_edges == [f"  {labels[lo]} -- {labels[hi]};\n" for lo, hi, _ in ref.edges]
+
+
+def test_export_reads_no_vertex_object(monkeypatch, capsys):
+    # Both formats label the vertices from the packed strings.
+    def refuse(g):
+        raise AssertionError("export made the PString view")
+
+    monkeypatch.setattr(graph.PCubeGraph, "vertices", property(refuse))
+    for fmt in ("dot", "json"):
+        assert cli.main(["export", "--p", "1", "--n", "6", "--format", fmt]) == 0
+        assert "000101" in capsys.readouterr().out

@@ -28,9 +28,15 @@ def pairwise_wiener(dist):
     return sum(map(sum, dist)) // 2
 
 
-def pairwise_mostar(g, dist):
+def without(edges, dropped):
+    """An edge list with one of its edges (lo, hi, i) taken out."""
+    assert dropped in edges
+    return [e for e in edges if e != dropped]
+
+
+def pairwise_mostar(edges, dist):
     total = 0
-    for lo, hi, _ in g.edges:
+    for lo, hi, _ in edges:
         closer_lo = sum(row[lo] < row[hi] for row in dist)
         closer_hi = sum(row[hi] < row[lo] for row in dist)
         total += abs(closer_lo - closer_hi)
@@ -40,23 +46,26 @@ def pairwise_mostar(g, dist):
 class TestPairwiseReference:
     """The ball-sweep oracles against their definitions on the BFS table."""
 
-    def test_built_graphs(self, built):
+    def test_built_graphs(self, built, reference_graph):
         for p in range(4):
             for n in range(9):
                 g = built(p, n)
                 dist = all_pairs_distances(g)
+                edges = reference_graph(p, n).edges
                 assert wiener_oracle(g) == pairwise_wiener(dist), (p, n)
-                assert mostar_oracle(g) == pairwise_mostar(g, dist), (p, n)
+                assert mostar_oracle(g) == pairwise_mostar(edges, dist), (p, n)
 
-    def test_graph_without_an_edge(self, built, drop_edge):
+    def test_graph_without_an_edge(self, built, drop_edge, reference_graph):
         # 000000-100000 lies on the square through 000001 and 100001, so the
         # graph stays connected but is no longer a partial cube.
         g = built(1, 6)
-        h = drop_edge(g, (0, g.index[from01("100000").bits], 1))
+        dropped = (0, g.index[from01("100000").bits], 1)
+        h = drop_edge(g, dropped)
         dist = all_pairs_distances(h)
         assert min(map(min, dist)) == 0
         assert wiener_oracle(h) == pairwise_wiener(dist) > wiener_closed(1, 6)
-        assert mostar_oracle(h) == pairwise_mostar(h, dist)
+        edges = without(reference_graph(1, 6).edges, dropped)
+        assert mostar_oracle(h) == pairwise_mostar(edges, dist)
 
     def test_copy_sweeps_its_own_edges(self, drop_edge):
         # the sums cached on g do not travel to the copy without an edge
@@ -68,13 +77,15 @@ class TestPairwiseReference:
         assert wiener_oracle(h) == pairwise_wiener(all_pairs_distances(h)) > wiener
         assert wiener_oracle(g) == wiener
 
-    def test_disconnected_graph(self, built, drop_edge):
+    def test_disconnected_graph(self, built, drop_edge, reference_graph):
         # the path 01-00-10 without 00-10 leaves 10 on its own
         g = built(1, 2)
-        h = drop_edge(g, (0, g.index[from01("10").bits], 1))
+        dropped = (0, g.index[from01("10").bits], 1)
+        h = drop_edge(g, dropped)
         with pytest.raises(ValueError):
             wiener_oracle(h)
-        assert mostar_oracle(h) == pairwise_mostar(h, all_pairs_distances(h)) == 0
+        edges = without(reference_graph(1, 2).edges, dropped)
+        assert mostar_oracle(h) == pairwise_mostar(edges, all_pairs_distances(h)) == 0
 
 
 class TestWiener:
@@ -156,15 +167,15 @@ class TestIrregularity:
         assert irregularity_oracle(built(3, 2)) == 2
 
 
-def scanned_rows(g):
+def scanned_rows(g, edges):
     """The census found the direct way: every edge against every direction j.
 
     x is the edge's 1-endpoint and y its 0-endpoint; whether each has a
     j-neighbour is looked up in the vertex index, not in the edge lists.
     """
     pairs, unforced = defaultdict(list), Counter()
-    for lo, hi, i in g.edges:
-        x, y = g.vertices[hi].bits, g.vertices[lo].bits
+    for lo, hi, i in edges:
+        x, y = g.bits[hi], g.bits[lo]
         for j in range(1, g.n + 1):
             mask = 1 << (g.n - j)
             x_ok, y_ok = x ^ mask in g.index, y ^ mask in g.index
@@ -190,11 +201,11 @@ class TestImbalanceCensus:
         assert (2, 0) in right_pairs(census, 1)
         assert (2, 0) in left_pairs(census, 1)
 
-    def test_records_consistent(self, built):
+    def test_records_consistent(self, built, reference_graph):
         for p, n in GRID:
             g = built(p, n)
             census = imbalance_census(g)
-            assert census == scanned_rows(g), (p, n)
+            assert census == scanned_rows(g, reference_graph(p, n).edges), (p, n)
             assert sum(len(r.pairs) for r in census) == irregularity_oracle(g)
             for r in census:
                 assert r.i != r.j
@@ -202,26 +213,28 @@ class TestImbalanceCensus:
                 assert 1 <= abs(r.i - r.j) <= p
                 assert r.pairs and list(r.pairs) == sorted(set(r.pairs))
 
-    def test_imbalance_keeps_its_sign(self, built, drop_edge):
+    def test_imbalance_keeps_its_sign(self, built, drop_edge, reference_graph):
         # the square without 00-10: 00 and 10 lose their direction-1
         # neighbour while 01 and 11 keep theirs, so deg y - deg x is -1 on
         # the edges 00-01 and 10-11, two unforced edges at (2, 1)
         g = built(0, 2)
-        h = drop_edge(g, (0, g.index[from01("10").bits], 1))
+        dropped = (0, g.index[from01("10").bits], 1)
+        h = drop_edge(g, dropped)
         assert imbalance_census(h) == [ImbalanceRow(2, 1, (), 2)]
-        gaps = sum(len(h.adjacency[lo]) - len(h.adjacency[hi]) for lo, hi, _ in h.edges)
+        edges = without(reference_graph(0, 2).edges, dropped)
+        gaps = sum(len(h.adjacency[lo]) - len(h.adjacency[hi]) for lo, hi, _ in edges)
         assert gaps == -2
 
-    def test_one_sided_neighbour_rule(self, built):
+    def test_one_sided_neighbour_rule(self, built, reference_graph):
         # a valid neighbour of the 1-endpoint forces one of the 0-endpoint
         # (no unforced edges), the two sides agree beyond offset p, and each
         # edge's signed degree gap is its number of pairs
         for p, n in GRID + [(1, 7), (2, 7), (3, 8)]:
-            g = built(p, n)
-            rows = scanned_rows(g)
+            g, edges = built(p, n), reference_graph(p, n).edges
+            rows = scanned_rows(g, edges)
             assert all(r.unforced == 0 and abs(r.i - r.j) <= p for r in rows)
             per_edge = Counter((r.i, y) for r in rows for y in r.pairs)
-            for lo, hi, i in g.edges:
+            for lo, hi, i in edges:
                 gap = len(g.adjacency[lo]) - len(g.adjacency[hi])
                 assert gap == per_edge[i, lo]
 
@@ -259,13 +272,13 @@ class TestProjection:
         assert (hi, lo) == (0b01, 0b00)  # the edge 01-00 of the (1, 2) graph
         assert lift_edge(3, 1, hi, 2) == 0b010
 
-    def test_bijection_round_trip(self, built):
+    def test_bijection_round_trip(self, built, reference_graph):
         for p, n in GRID:
             if n < p:
                 continue
             g = built(p, n)
             for d in range(1, p + 1):
-                smaller = built(p, n - d)
+                smaller = reference_graph(p, n - d)
                 target = {
                     (smaller.vertices[hi].bits, dirn) for _, hi, dirn in smaller.edges
                 }
@@ -280,11 +293,11 @@ class TestProjection:
                 assert len(images) == len(points)
                 assert images == target
 
-    def test_lift_produces_valid_pairs(self, built):
+    def test_lift_produces_valid_pairs(self, built, reference_graph):
         for p, n, d in ((2, 6, 1), (2, 6, 2), (3, 7, 2)):
             g = built(p, n)
             points = set(right_pair_points(g, d))
-            smaller = built(p, n - d)
+            smaller = reference_graph(p, n - d)
             for _, hi_id, i in smaller.edges:
                 x = lift_edge(n, d, smaller.vertices[hi_id].bits, i)
                 assert (i, x) in points

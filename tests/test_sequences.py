@@ -242,13 +242,30 @@ def test_jump_serves_small_p_and_windows_large_p():
 
 
 def test_row_sums_serve_long_entries_at_small_p():
-    # The sums serve where p > 0 and 250 (p+1)^2 <= n; the constant comes
-    # from the crossovers that _sums_pay names.  At p = 0 they never serve.
+    # On ints the sums serve where p > 0 and 250 (p+1)^2 <= n, on decimals
+    # where 43 (p+1)(p+23) <= n; each bound comes from the crossovers that
+    # _sums_pay names.  At p = 0 they never serve.
     assert not _sums_pay(1, 999) and _sums_pay(1, 1000)
     assert not _sums_pay(2, 2249) and _sums_pay(2, 2250)
     assert not _sums_pay(8, 20000) and _sums_pay(5, 20000)
     assert not _sums_pay(100, 20000) and _sums_pay(100, 250 * 101**2)
     assert not _sums_pay(0, 10**9) and not _sums_pay(10**12, 3)
+    assert not _sums_pay(1, 2063, True) and _sums_pay(1, 2064, True)
+    assert not _sums_pay(3, 4471, True) and _sums_pay(3, 4472, True)
+    assert not _sums_pay(8, 11996, True) and _sums_pay(8, 11997, True)
+    assert not _sums_pay(12, 19564, True) and _sums_pay(12, 19565, True)
+    # Where closed_large_n runs the row, both types take the sums.
+    assert _sums_pay(2, 7600) and _sums_pay(2, 7600, True)
+    assert not _sums_pay(100, 20000, True) and not _sums_pay(0, 10**9, True)
+
+
+def test_row_route_reads_the_entry_type(monkeypatch):
+    # At (8, 20000) the printed row, on decimals, comes by the sums; the
+    # int row there stays on the products.
+    for name in ("direction_row_products", "direction_row_sums"):
+        monkeypatch.setattr(sequences, name, lambda p, n, one, name=name: name)
+    assert direction_products(8, 20000, decimal.Decimal(1)) == "direction_row_sums"
+    assert direction_products(8, 20000) == "direction_row_products"
 
 
 @pytest.mark.parametrize("p", range(7))

@@ -428,14 +428,14 @@ def test_projection_reads_every_offset_of_a_direction(monkeypatch, swap_vertices
     assert [sorted(g.lows[1]) for g in smaller] == [[7, 8, 9]]
 
 
-def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge):
+def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge, reference_graph):
     # The edge 000000-000001 still raises the weight by 1, but claims
     # direction 5, where 000000 already has its edge to 000010.
     build = verify.build
 
     def build_with_wrong_direction(p, m, **kwargs):
         g = build(p, m, **kwargs)
-        lo, hi, i = g.edges[0]
+        lo, hi, i = reference_graph(p, m).edges[0]
         h = drop_edge(g, (lo, hi, i))
         h.lows[5][hi - lo] = h.lows[5].get(hi - lo, 0) | 1 << lo
         return h
