@@ -312,6 +312,37 @@ class TestVerify:
         assert code == 0
         assert sweeps == [(1, n) for n in range(7)]
 
+    # Length and sha256 of the CI grid's report, and of one failing report
+    # with the Wiener closed form one too large: the checks' lines, their
+    # order and the exit code must keep every byte.
+    @pytest.mark.parametrize(
+        "broken, grid, code, fmt, length, digest",
+        [
+            (False, ("0..4", "0..12", "20"), 0, "text", 3510,
+             "50732890a8be1f2deadce086899d46ad28f4a96834986d79c7f28f31c561d522"),
+            (False, ("0..4", "0..12", "20"), 0, "json", 8805,
+             "e2605f3a3a6698f5e8f5c29a026a881f629b850af1f3d6fd6ab9015db2466fb2"),
+            (True, ("0..2", "0..6", "8"), 1, "text", 2138,
+             "29ff29b6c03dfbbe517061fca56efaa21e77560e58c9a6899fda619ce7555caa"),
+            (True, ("0..2", "0..6", "8"), 1, "json", 5303,
+             "046109a208e89a676456135ecd34150dd33d256bd66eff54566c2e42fdc79be4"),
+        ],
+    )
+    def test_verify_bytes_are_pinned(
+        self, monkeypatch, capsys, broken, grid, code, fmt, length, digest
+    ):
+        if broken:
+            wiener_closed = verify.wiener_closed
+            monkeypatch.setattr(
+                verify, "wiener_closed", lambda p, n: wiener_closed(p, n) + 1
+            )
+        p, n, order = grid
+        exit_code, out, err = run(capsys, "verify", "all", "--p", p, "--n", n,
+                                  "--N", order, "--format", fmt)
+        assert (exit_code, err) == (code, "")
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (length, digest)
+
 
 @pytest.mark.parametrize(
     "argv, first_line",

@@ -81,6 +81,7 @@ def test_check_result_detail_defaults_to_empty():
         ("weight_poly", plus_one, "gf/identities"),
         ("dist_cube_poly_closed", plus_one, "gf/identities"),
         ("pfib", plus_one, "counts/order"),
+        ("pfib", plus_one, "counts/edge-recursion"),
         ("pfib_series", bump_last_coefficient, "gf/identities"),
         ("gap_denominator", bump_first_coefficient, "gf/identities"),
         ("substitute", plus_one, "cubes/daisy-identities"),
@@ -428,6 +429,13 @@ def test_projection_reads_every_offset_of_a_direction(monkeypatch, swap_vertices
     assert [sorted(g.lows[1]) for g in smaller] == [[7, 8, 9]]
 
 
+def structure_of(g):
+    """The structure check's lines on a point that holds the graph g."""
+    point = verify.Point(g.p, g.n)
+    point.graph = g
+    return list(verify._structure(point))
+
+
 def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge, reference_graph):
     # The edge 000000-000001 still raises the weight by 1, but claims
     # direction 5, where 000000 already has its edge to 000010.
@@ -440,7 +448,7 @@ def test_mislabelled_edge_fails_structure(monkeypatch, capsys, drop_edge, refere
         h.lows[5][hi - lo] = h.lows[5].get(hi - lo, 0) | 1 << lo
         return h
 
-    assert verify._structure_mismatches(build_with_wrong_direction(1, 6)) == [
+    assert structure_of(build_with_wrong_direction(1, 6)) == [
         "p=1 n=6: degree sum != 2|E|",
         "p=1 n=6: edge 0-1 does not set exactly bit 5",
     ]
@@ -463,7 +471,7 @@ def test_isolated_vertex_fails_structure(monkeypatch, capsys, drop_edge):
             g = drop_edge(g, (g.index[top ^ 1 << (m - i)], g.index[top], i))
         return g
 
-    assert verify._structure_mismatches(build_with_isolated_vertex(1, 6)) == [
+    assert structure_of(build_with_isolated_vertex(1, 6)) == [
         "p=1 n=6: graph is disconnected"
     ]
     monkeypatch.setattr(verify, "build", build_with_isolated_vertex)
@@ -513,3 +521,115 @@ def test_census_refusal_fails_a_check(monkeypatch, capsys, swap_vertices):
     assert f"FAIL cubes/counts p=1: {refusal}" in out
     assert f"FAIL irregularity/imbalance-records p=1: {refusal}" in out
     assert "FAIL counts/structure p=1: " in out
+
+
+def alone(suite, check, p, ns, order):
+    """One check's result at p, from its function run by itself on a fresh
+    context per point, stopping at its first mismatch line."""
+    run, name = verify.SUITES[suite][check], f"{suite}/{check} p={p}"
+    if suite == "gf":
+        contexts = [verify.Series(p, order)]
+    else:
+        contexts = (verify.Point(p, n) for n in ns)
+    notes = []
+    for context in contexts:
+        try:
+            first = next(run(context), None)
+        except verify.Note as note:
+            notes.append(str(note))
+            continue
+        if first is not None:
+            return CheckResult(name, False, first)
+    return CheckResult(name, True, "; ".join(notes))
+
+
+def bumped(name, bump):
+    def apply(monkeypatch, fixtures):
+        original = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *args: bump(original(*args)))
+
+    return apply
+
+
+def rebuilt(fault):
+    def apply(monkeypatch, fixtures):
+        build = verify.build
+        monkeypatch.setattr(
+            verify, "build", lambda p, m, **kwargs: fault(build(p, m, **kwargs), fixtures)
+        )
+
+    return apply
+
+
+def sweep_limit(monkeypatch, fixtures):
+    monkeypatch.setattr(graph, "SWEEP_LIMIT", 20)
+
+
+def project_swapped(monkeypatch, fixtures):
+    monkeypatch.setattr(verify, "project_pair", swap_endpoints(verify.project_pair))
+
+
+def drop_first_edge(g, fixtures):
+    return fixtures["drop_edge"](g, (0, g.index[1 << (g.n - 1)], 1))
+
+
+# Fault, grid (p, n, series order), and checks that it fails, which between
+# the rows are all of them; the first two rows pass, the second with notes
+# on every distance oracle it skips.
+ALONE = [
+    ("none", None, (range(4), range(9), 8), set()),
+    ("sweep-limit", sweep_limit, ([0, 1], range(7), 4), set()),
+    ("pfib", bumped("pfib", plus_one), ([1], range(5), 6),
+     {"counts/order", "counts/edge-recursion"}),
+    ("edges", bumped("total_edges_closed", plus_one), ([1], range(5), 6),
+     {"counts/size", "irregularity/pair-set-sizes"}),
+    ("direction", bumped("direction_edge_count_closed", plus_one), ([1], range(5), 6),
+     {"counts/directions", "indices/wiener-mostar-gap"}),
+    ("weight", bumped("count_by_weight", plus_one), ([1], range(5), 6),
+     {"counts/weight-census"}),
+    ("cubes", bumped("cube_count_closed", plus_one), ([1], range(5), 6),
+     {"cubes/counts"}),
+    ("distance-cubes", bumped("dist_cube_count_closed", plus_one), ([1], range(5), 6),
+     {"cubes/distance-counts"}),
+    ("weight-poly", bumped("weight_poly", plus_one), ([1], range(5), 6),
+     {"cubes/daisy-identities", "gf/identities"}),
+    ("wiener", bumped("wiener_closed", plus_one), ([1], range(5), 6),
+     {"indices/wiener"}),
+    ("mostar", bumped("mostar_closed", plus_one), ([1], range(5), 6),
+     {"indices/mostar"}),
+    ("irregularity", bumped("irregularity_closed", plus_one), ([1], range(5), 6),
+     {"irregularity/closed-form"}),
+    ("swapped-ids", rebuilt(lambda g, f: f["swap_vertices"](g, 1, 2)), ([1], [6], 6),
+     {"cubes/counts", "irregularity/imbalance-records", "counts/structure"}),
+    ("dropped-edge", rebuilt(drop_first_edge), ([1], [6], 6),
+     {"counts/partial-cube", "irregularity/imbalance-records",
+      "irregularity/neighbour-propositions"}),
+    ("projection", project_swapped, ([2], [4], 6), {"irregularity/projection-bijection"}),
+]
+
+
+def test_every_check_has_an_alone_row():
+    failed = set().union(*(checks for *_, checks in ALONE))
+    assert failed == {f"{suite}/{check}" for suite in verify.SUITES
+                      for check in verify.SUITES[suite]}
+
+
+@pytest.mark.parametrize("fault, grid, checks", [row[1:] for row in ALONE],
+                         ids=[row[0] for row in ALONE])
+def test_each_check_alone_gives_its_result(
+    monkeypatch, drop_edge, swap_vertices, fault, grid, checks
+):
+    # Every check function, run by itself on fresh contexts, stops at the
+    # line that the full run reports first for it, or gives its notes.
+    if fault is not None:
+        fault(monkeypatch, {"drop_edge": drop_edge, "swap_vertices": swap_vertices})
+    ps, ns, order = grid
+    full = verify.run_suite("all", ps, ns, order)
+    failed = {r.name.split()[0] for r in full if not r.passed}
+    assert checks <= failed if checks else not failed
+    assert [
+        alone(suite, check, p, ns, order)
+        for suite, checks_of_suite in verify.SUITES.items()
+        for p in ps
+        for check in checks_of_suite
+    ] == full
