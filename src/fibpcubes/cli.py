@@ -314,11 +314,7 @@ def _indices_doc(args: argparse.Namespace) -> dict:
         "edges": total_edges_closed(p, n),
         "wiener": {"closed": wiener_closed(p, n), "oracle": None},
         "mostar": {"closed": mostar_closed(p, n), "oracle": None},
-        "irregularity": {
-            "closed": irregularity_closed(p, n) if n >= p else None,
-            "oracle": None,
-            "note": None if n >= p else "theorem not applicable (n < p), oracle-only",
-        },
+        "irregularity": {"closed": irregularity_closed(p, n), "oracle": None},
     }
     g = build(p, n) if n <= args.cap else None
     if g is not None:

@@ -97,13 +97,13 @@ def irregularity_oracle(g: PCubeGraph) -> int:
 def irregularity_closed(p: int, n: int) -> int:
     """Twice the sum of the edge counts of the p previous lengths.
 
-    The theorem irr = 2 * sum_{d=1..p} |E(n - d)|, with the p counts
-    |E(n - p)| .. |E(n - 1)| taken together.  Only valid for n >= p; smaller
-    n must go through the oracle.
+    The theorem irr = 2 * sum_{d=1..p} |E(n - d)|, with the counts
+    |E(n - m)| .. |E(n - 1)| taken together, m = min(p, n).  At n <= p + 1
+    no two 1s fit, the graph is the star K_{1,n}, and the sum, |E(k)| = k
+    there, gives its irr = n(n - 1).
     """
-    if n < p:
-        raise ValueError(f"closed form needs n >= p, got n = {n} < p = {p}")
-    return 2 * sum(edge_terms(p, n - p, p))
+    m = min(p, n)
+    return 2 * sum(edge_terms(p, n - m, m))
 
 
 class ImbalanceRow(NamedTuple):

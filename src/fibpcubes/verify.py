@@ -5,7 +5,9 @@ and reports one result per identity and parameter p with the first
 counterexample when something disagrees.  ``SUITES`` lists each suite's
 checks in report order: a check is a function of one grid ``Point`` (gf's,
 of a ``Series``) that yields its mismatch lines there, and raises ``Note``
-on what it leaves unchecked.  Size limits are enforced where memory is
+on what it leaves unchecked.  A layer that refuses its input raises
+``ValueError``, and the runner makes that the mismatch line of each check
+that reads the layer.  Size limits are enforced where memory is
 allocated: a graph beyond the vertex limit is refused, and a distance
 oracle beyond the sweep limit leaves a note on each check it skipped.
 """
@@ -56,13 +58,18 @@ class Note(Exception):
     """What a check left unchecked at one point; its result lists it."""
 
 
-Series = NamedTuple("Series", [("p", int), ("order", int)])
+class Series(NamedTuple):
+    p: int
+    order: int
+
+    def __str__(self) -> str:
+        return f"p={self.p}"
 
 
 class Point:
     """One (p, n) of the grid.  Each artefact is made on first use by the
-    layer functions bound in this module.  A refused census is kept as its
-    ValueError: one check reports it, the suite's others nothing."""
+    layer functions bound in this module.  A refused artefact is not kept:
+    each check that reads it raises the refusal again, and fails on it."""
 
     def __init__(self, p: int, n: int) -> None:
         self.p, self.n = p, n
@@ -75,11 +82,8 @@ class Point:
         return build(self.p, self.n)
 
     @cached_property
-    def cubes(self) -> dict | ValueError:
-        try:
-            return cube_census(self.graph)
-        except ValueError as exc:  # the walk refuses disagreeing id offsets
-            return exc
+    def cubes(self) -> dict:
+        return cube_census(self.graph)
 
     @cached_property
     def cube_poly(self):
@@ -90,11 +94,8 @@ class Point:
         return wiener_closed(self.p, self.n), mostar_closed(self.p, self.n)
 
     @cached_property
-    def imbalance(self) -> list | ValueError:
-        try:
-            return imbalance_census(self.graph)
-        except ValueError as exc:  # the census refuses disagreeing id offsets
-            return exc
+    def imbalance(self) -> list:
+        return imbalance_census(self.graph)
 
     @cached_property
     def irr(self) -> int:
@@ -160,11 +161,11 @@ def _weight_census(pt: Point) -> Lines:
 
 def _edge_recursion(pt: Point) -> Lines:
     p, n = pt.p, pt.n
-    if n >= p + 1:
-        recursed = total_edges_closed(p, n - 1) + total_edges_closed(p, n - p - 1)
-        recursed += pfib(p, n)
-        if total_edges_closed(p, n) != recursed:
-            yield f"{pt}: recursion gives {recursed}"
+    recursed = pfib(p, n) + sum(
+        total_edges_closed(p, m) for m in (n - 1, n - p - 1) if m >= 0
+    )
+    if total_edges_closed(p, n) != recursed:
+        yield f"{pt}: recursion gives {recursed}"
 
 
 def _structure(pt: Point) -> Lines:
@@ -199,25 +200,18 @@ def _partial_cube(pt: Point) -> Lines:
     # graph distance is at least its Hamming distance, and the two sums over
     # all pairs agree exactly when every pair does.
     g = pt.graph
-    tag = f"p={g.p} n={g.n}"
     try:
         wiener = wiener_oracle(g)
     except SizeLimitError as exc:
         raise Note(f"{pt}: partial-cube not checked, {exc}")
-    except ValueError as exc:
-        yield f"{tag}: {exc}"
-        return
     ones = [sum((b >> shift) & 1 for b in g.bits) for shift in range(g.n)]
     hamming_sum = sum(c * (g.vertex_count - c) for c in ones)
     if wiener != hamming_sum:
-        yield f"{tag}: Wiener index {wiener} but Hamming sum {hamming_sum}"
+        yield f"{pt}: Wiener index {wiener} but Hamming sum {hamming_sum}"
 
 
 def _cube_counts(pt: Point) -> Lines:
     census, p, n = pt.cubes, pt.p, pt.n
-    if isinstance(census, ValueError):
-        yield f"{pt}: {census}"
-        return
     for k in range(max_weight(p, n) + 2):
         oracle = sum(v for (kk, _), v in census.items() if kk == k)
         closed = cube_count_closed(p, n, k)
@@ -230,8 +224,6 @@ def _cube_counts(pt: Point) -> Lines:
 
 
 def _distance_counts(pt: Point) -> Lines:
-    if isinstance(pt.cubes, ValueError):
-        return
     for k, d in product(range(max_weight(pt.p, pt.n) + 2), repeat=2):
         oracle = pt.cubes.get((k, d), 0)
         closed = dist_cube_count_closed(pt.p, pt.n, k, d)
@@ -240,8 +232,6 @@ def _distance_counts(pt: Point) -> Lines:
 
 
 def _daisy_identities(pt: Point) -> Lines:
-    if isinstance(pt.cubes, ValueError):
-        return
     p, n, poly, xq = pt.p, pt.n, pt.cube_poly, MARKERS["distance"]
     wpoly, dpoly, top = weight_poly(p, n), dist_cube_poly_closed(p, n), max_weight(p, n)
     if dpoly != substitute(wpoly, xq):
@@ -312,32 +302,23 @@ def _wiener_mostar_gap(pt: Point) -> Lines:
         yield f"{pt}: W - Mo != sum of squared |E_i|"
 
 
-# The irregularity checks read one imbalance census; README.md states each.
+# The irregularity checks, stated in README.md; all but the closed form read
+# one imbalance census.
 def _irregularity_closed(pt: Point) -> Lines:
-    if isinstance(pt.imbalance, ValueError):
-        return
-    if pt.n < pt.p:
-        raise Note(f"{pt}: theorem not applicable (n < p), oracle-only; irr={pt.irr}")
     closed = irregularity_closed(pt.p, pt.n)
     if closed != pt.irr:
         yield f"{pt}: oracle {pt.irr} closed {closed}"
 
 
 def _imbalance_records(pt: Point) -> Lines:
-    census = pt.imbalance
-    if isinstance(census, ValueError):
-        yield f"{pt}: {census}"
-        return
-    pairs = sum(len(r.pairs) for r in census)
+    pairs = sum(len(r.pairs) for r in pt.imbalance)
     if pairs != pt.irr:
         yield f"{pt}: |pairs|={pairs} irr={pt.irr}"
 
 
 def _pair_set_sizes(pt: Point) -> Lines:
     census, p, n = pt.imbalance, pt.p, pt.n
-    if isinstance(census, ValueError) or n < p:
-        return
-    for d in range(1, p + 1):
+    for d in range(1, min(p, n) + 1):
         rp, lp = (sum(1 for _ in side(census, d)) for side in (right_pairs, left_pairs))
         expected = total_edges_closed(p, n - d)
         if rp != expected or lp != expected:
@@ -348,10 +329,8 @@ def _projection_bijection(pt: Point) -> Lines:
     # The right pairs at offset d against the (p, n - d) graph's edges, one
     # direction at a time over all its id offsets.  Every pair is projected:
     # a refusal by project_pair or lift_edge is the first mismatch.
-    if isinstance(pt.imbalance, ValueError) or pt.n < pt.p:
-        return
     g, census, found = pt.graph, pt.imbalance, []
-    for d in range(1, pt.p + 1):
+    for d in range(1, min(g.p, g.n) + 1):
         tag = f"p={g.p} n={g.n} d={d}"
         try:
             smaller, covered = build(g.p, g.n - d), 0
@@ -385,8 +364,6 @@ def _projection_bijection(pt: Point) -> Lines:
 
 
 def _neighbour_propositions(pt: Point) -> Lines:
-    if isinstance(pt.imbalance, ValueError):
-        return
     for r in pt.imbalance:
         if r.unforced or (r.pairs and abs(r.i - r.j) > pt.p):
             yield (f"{pt} i={r.i} j={r.j}: unforced={r.unforced} "
@@ -460,6 +437,8 @@ def run_suite(
                 mismatches.extend(run(context))
             except Note as note:
                 notes.append(str(note))
+            except ValueError as exc:  # a layer refused what the check reads
+                mismatches.append(f"{context}: {exc}")
 
     for p in ps:
         if "gf" in names:

@@ -194,10 +194,12 @@ class TestVerify:
         assert "PASS gf/identities p=0" in out
 
     def test_irregularity_note(self, capsys):
+        # at n < p the closed form is checked too, and leaves no note
         code, out, _ = run(capsys, "verify", "irregularity", "--p", "2",
                            "--n", "0..1")
         assert code == 0
-        assert "theorem not applicable (n < p), oracle-only" in out
+        assert out.splitlines()[0] == "PASS irregularity/closed-form p=2"
+        assert "note" not in out and "oracle-only" not in out
 
     def test_partial_cube_skip_note(self, monkeypatch, capsys):
         monkeypatch.setattr(graph, "SWEEP_LIMIT", 8)
@@ -318,14 +320,14 @@ class TestVerify:
     @pytest.mark.parametrize(
         "broken, grid, code, fmt, length, digest",
         [
-            (False, ("0..4", "0..12", "20"), 0, "text", 3510,
-             "50732890a8be1f2deadce086899d46ad28f4a96834986d79c7f28f31c561d522"),
-            (False, ("0..4", "0..12", "20"), 0, "json", 8805,
-             "e2605f3a3a6698f5e8f5c29a026a881f629b850af1f3d6fd6ab9015db2466fb2"),
-            (True, ("0..2", "0..6", "8"), 1, "text", 2138,
-             "29ff29b6c03dfbbe517061fca56efaa21e77560e58c9a6899fda619ce7555caa"),
-            (True, ("0..2", "0..6", "8"), 1, "json", 5303,
-             "046109a208e89a676456135ecd34150dd33d256bd66eff54566c2e42fdc79be4"),
+            (False, ("0..4", "0..12", "20"), 0, "text", 2900,
+             "80b1dc48663b51615c2e1b59de4c59a4532dcd93555fb2459c2b08193fc2dfc4"),
+            (False, ("0..4", "0..12", "20"), 0, "json", 8203,
+             "966e2eaef02d587f52382a88aabb610122c775f02cf014c851490ab6b876307b"),
+            (True, ("0..2", "0..6", "8"), 1, "text", 1955,
+             "1bf8798c2e75e8066710eab39ce7fcfda6992bb86d0c0f16e95e683b77c32f59"),
+            (True, ("0..2", "0..6", "8"), 1, "json", 5124,
+             "9d5af31b54a5720b4fe8fd76997c0ec4ee693b1f089b210b1af45b18fad8d137"),
         ],
     )
     def test_verify_bytes_are_pinned(
@@ -585,14 +587,13 @@ class TestIndices:
         assert int(doc["wiener"]["closed"]) > 0
 
     def test_below_threshold_note(self, capsys):
+        # no note: at n < p the closed irregularity is given as elsewhere
         code, out, _ = run(capsys, "indices", "--p", "3", "--n", "1")
         assert code == 0
         doc = json.loads(out)
-        assert doc["irregularity"]["closed"] is None
-        assert doc["irregularity"]["note"] == (
-            "theorem not applicable (n < p), oracle-only"
-        )
-        assert doc["irregularity"]["oracle"] == "0"
+        assert doc["irregularity"] == {"closed": "0", "oracle": "0"}
+        code, out, _ = run(capsys, "indices", "--p", "3", "--n", "3")
+        assert json.loads(out)["irregularity"] == {"closed": "6", "oracle": "6"}
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "indices", "--p", "1", "--n", "3",

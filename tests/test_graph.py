@@ -121,7 +121,7 @@ def test_cube_suite_reads_no_view(monkeypatch):
     monkeypatch.setattr(verify, "build", capturing_build)
     monkeypatch.setattr(graph, "SWEEP_LIMIT", 0)
     grid = [(p, n) for p in (1, 2) for n in range(13)]
-    projected = [(p, n - d) for p, n in grid for d in range(1, p + 1) if n >= p]
+    projected = [(p, n - d) for p, n in grid for d in range(1, min(p, n) + 1)]
     results = {
         suite: verify.run_suite(suite, [1, 2], range(13))
         for suite in ("cubes", "counts", "irregularity")

@@ -144,8 +144,7 @@ class TestIrregularity:
 
     def test_closed_matches_oracle(self, built):
         for p, n in GRID:
-            if n >= p:
-                assert irregularity_closed(p, n) == irregularity_oracle(built(p, n))
+            assert irregularity_closed(p, n) == irregularity_oracle(built(p, n))
 
     def test_hypercubes_are_regular(self, built):
         for n in range(9):
@@ -160,11 +159,16 @@ class TestIrregularity:
                 expected = 2 * sum(total_edges_closed(p, n - d) for d in range(1, p + 1))
                 assert irregularity_closed(p, n) == expected, (p, n)
 
-    def test_below_threshold_refuses(self, built):
-        with pytest.raises(ValueError):
-            irregularity_closed(3, 2)
-        # the oracle still covers those cases: the path 01-00-10 has irr 2
-        assert irregularity_oracle(built(3, 2)) == 2
+    def test_below_threshold_is_the_star(self, built):
+        # At n <= p + 1 no two 1s fit: the graph is the star K_{1,n}, whose
+        # n leaves have degree 1 and centre degree n, so irr = n(n - 1).
+        for p in range(9):
+            for n in range(p + 2):
+                assert irregularity_closed(p, n) == n * (n - 1), (p, n)
+        for n in range(6):
+            assert irregularity_closed(10**12, n) == n * (n - 1)
+        # the path 01-00-10 has irr 2
+        assert irregularity_oracle(built(3, 2)) == 2 == irregularity_closed(3, 2)
 
 
 def scanned_rows(g, edges):
@@ -240,10 +244,8 @@ class TestImbalanceCensus:
 
     def test_pair_set_sizes(self, built):
         for p, n in GRID:
-            if n < p:
-                continue
             census = imbalance_census(built(p, n))
-            for d in range(1, p + 1):
+            for d in range(1, min(p, n) + 1):
                 expected = total_edges_closed(p, n - d)
                 assert sum(1 for _ in right_pairs(census, d)) == expected
                 assert sum(1 for _ in left_pairs(census, d)) == expected
@@ -274,10 +276,8 @@ class TestProjection:
 
     def test_bijection_round_trip(self, built, reference_graph):
         for p, n in GRID:
-            if n < p:
-                continue
             g = built(p, n)
-            for d in range(1, p + 1):
+            for d in range(1, min(p, n) + 1):
                 smaller = reference_graph(p, n - d)
                 target = {
                     (smaller.vertices[hi].bits, dirn) for _, hi, dirn in smaller.edges

@@ -503,29 +503,67 @@ def test_vertex_fault_fails_structure(monkeypatch, capsys, swap_vertices, fault,
     assert out.count("FAIL") == 1
 
 
+CENSUS_READERS = {
+    "cubes": ("counts", "distance-counts"),
+    "irregularity": ("imbalance-records", "pair-set-sizes", "projection-bijection",
+                     "neighbour-propositions"),
+}
+
+
 def test_census_refusal_fails_a_check(monkeypatch, capsys, swap_vertices):
     # ids 1 and 2 swapped: direction 1 edges no longer share one id offset,
-    # which both censuses refuse; the refusal fails a check, not the run
+    # which both censuses refuse; the refusal fails every check that reads
+    # a census, not the run, and no check that reads none
     build = verify.build
     monkeypatch.setattr(
         verify, "build", lambda p, m, **kwargs: swap_vertices(build(p, m, **kwargs), 1, 2)
     )
     refusal = "p=1 n=6: direction 1 edges have id offsets [12, 13, 14]\n"
-    for suite, check in (("cubes", "counts"), ("irregularity", "imbalance-records")):
+    for suite, checks in CENSUS_READERS.items():
         code = cli.main(["verify", suite, "--p", "1", "--n", "6"])
         assert code == 1
-        assert f"FAIL {suite}/{check} p=1: {refusal}" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for check in checks:
+            assert f"FAIL {suite}/{check} p=1: {refusal}" in out
     code = cli.main(["verify", "all", "--p", "1", "--n", "6"])
     assert code == 1
     out = capsys.readouterr().out
-    assert f"FAIL cubes/counts p=1: {refusal}" in out
-    assert f"FAIL irregularity/imbalance-records p=1: {refusal}" in out
+    for suite, checks in CENSUS_READERS.items():
+        for check in checks:
+            assert f"FAIL {suite}/{check} p=1: {refusal}" in out
+    assert "PASS cubes/daisy-identities p=1\n" in out
+    assert "PASS irregularity/closed-form p=1\n" in out
     assert "FAIL counts/structure p=1: " in out
+
+
+def drop_edge_00_10(g, fixtures):
+    # at (1, 2) the vertex 10 loses its one edge, and the graph falls apart
+    if (g.p, g.n) == (1, 2):
+        g = fixtures["drop_edge"](g, (g.index[0b00], g.index[0b10], 1))
+    return g
+
+
+def test_disconnected_graph_fails_checks(monkeypatch, capsys, drop_edge):
+    # The distance sweep refuses a disconnected graph: the refusal fails
+    # each check that sweeps it, and the run exits 1, not 2.
+    rebuilt(drop_edge_00_10)(monkeypatch, {"drop_edge": drop_edge})
+    refusal = "p=1 n=2: the Wiener index of a disconnected graph is infinite\n"
+    code = cli.main(["verify", "indices", "--p", "1", "--n", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.startswith(f"FAIL indices/wiener p=1: {refusal}")
+    code = cli.main(["verify", "all", "--p", "1", "--n", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert f"FAIL indices/wiener p=1: {refusal}" in out
+    assert "FAIL counts/structure p=1: p=1 n=2: graph is disconnected\n" in out
+    assert f"FAIL counts/partial-cube p=1: {refusal}" in out
 
 
 def alone(suite, check, p, ns, order):
     """One check's result at p, from its function run by itself on a fresh
-    context per point, stopping at its first mismatch line."""
+    context per point, stopping at its first mismatch line.  As in the
+    runner, a refusal raised there is that line."""
     run, name = verify.SUITES[suite][check], f"{suite}/{check} p={p}"
     if suite == "gf":
         contexts = [verify.Series(p, order)]
@@ -538,6 +576,8 @@ def alone(suite, check, p, ns, order):
         except verify.Note as note:
             notes.append(str(note))
             continue
+        except ValueError as exc:
+            first = f"{context}: {exc}"
         if first is not None:
             return CheckResult(name, False, first)
     return CheckResult(name, True, "; ".join(notes))
@@ -600,7 +640,10 @@ ALONE = [
     ("irregularity", bumped("irregularity_closed", plus_one), ([1], range(5), 6),
      {"irregularity/closed-form"}),
     ("swapped-ids", rebuilt(lambda g, f: f["swap_vertices"](g, 1, 2)), ([1], [6], 6),
-     {"cubes/counts", "irregularity/imbalance-records", "counts/structure"}),
+     {f"{suite}/{check}" for suite, checks in CENSUS_READERS.items() for check in checks}
+     | {"counts/structure"}),
+    ("disconnected", rebuilt(drop_edge_00_10), ([1], range(4), 6),
+     {"indices/wiener", "counts/structure", "counts/partial-cube"}),
     ("dropped-edge", rebuilt(drop_first_edge), ([1], [6], 6),
      {"counts/partial-cube", "irregularity/imbalance-records",
       "irregularity/neighbour-propositions"}),
